@@ -1,11 +1,19 @@
-//! Criterion bench: Gaussian-process fit and predict — the O(n³) per-
-//! iteration cost of the Bayesian search (§IV.D), measured over the data
-//! sizes a 300-iteration run passes through.
+//! Criterion bench: Gaussian-process fit, predict and one search
+//! iteration's `suggest`, over the data sizes a 300-iteration run passes
+//! through (§IV.D).
+//!
+//! `gp/fit/*` is a from-scratch `O(n³)` fit, which appends every row of
+//! the factor from empty. `gp/suggest/*` is the scoring a search iteration
+//! pays between ML-II refits: one `α` re-solve per objective and a block
+//! posterior over the 192-candidate pool. No `tell` comes between its
+//! calls, so it does not time the one-row append a new observation adds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lens::gp::kernel::Matern52;
 use lens::gp::GpRegressor;
-use lens_bench::workloads::gp_training_data as training_data;
+use lens_bench::workloads::{gp_suggest_state, gp_training_data as training_data};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 fn bench_gp(c: &mut Criterion) {
@@ -40,6 +48,18 @@ fn bench_gp(c: &mut Criterion) {
             acc
         })
     });
+
+    for n in [100usize, 300] {
+        let (mut optimizer, pool) = gp_suggest_state(n);
+        let mut rng = StdRng::seed_from_u64(7);
+        group.bench_function(BenchmarkId::new("suggest", n), |b| {
+            b.iter(|| {
+                optimizer
+                    .suggest(black_box(&pool), &mut rng)
+                    .expect("suggest succeeds")
+            })
+        });
+    }
     group.finish();
 }
 

@@ -7,8 +7,8 @@
 //! (`fleet/run_flash_crowd/10000`), the staged split-inference pipeline
 //! (`fleet/pipeline/10000`), and the search-side paths that gate
 //! fleet-in-the-loop NAS (`pareto/build_front/5000`, `gp/fit/300`,
-//! `pareto/hypervolume_3d`) — and fails (exit 1) if any of them
-//! regresses beyond a generous noise tolerance.
+//! `gp/suggest/300`, `pareto/hypervolume_3d`) — and fails (exit 1) if any
+//! of them regresses beyond a generous noise tolerance.
 //!
 //! The gate measures **in-process** (min-of-N wall clock) instead of
 //! parsing bench output, and it builds its workloads from the *same*
@@ -32,6 +32,8 @@ use lens::gp::GpRegressor;
 use lens::pareto::{hypervolume, ParetoFront};
 use lens::prelude::*;
 use lens_bench::workloads;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -246,6 +248,24 @@ fn main() {
             );
         },
         baseline(&pareto_json, "gp/fit/300", "after_ms") * 1e6,
+    );
+
+    // gp/suggest/300 — the scoring half of a steady-state search iteration
+    // at the paper's budget, away from an ML-II refit: one α re-solve per
+    // objective and the block posterior over a 192-candidate pool. No tell
+    // comes between calls, so the row append is left to gp/fit/300.
+    let (mut optimizer, pool) = workloads::gp_suggest_state(300);
+    let mut rng = StdRng::seed_from_u64(7);
+    gate.check(
+        "gp/suggest/300",
+        || {
+            black_box(
+                optimizer
+                    .suggest(&pool, &mut rng)
+                    .expect("suggest succeeds"),
+            );
+        },
+        baseline(&pareto_json, "gp/suggest/300", "after_ms") * 1e6,
     );
 
     // pareto/hypervolume_3d — the 2000-point sort-and-sweep.

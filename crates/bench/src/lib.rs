@@ -6,8 +6,9 @@
 //! results-directory handling, and the paired LENS/Traditional search that
 //! Figs 6 and 7 both consume.
 //!
-//! Run with `--release`; a 300-iteration Bayesian search is deliberately
-//! `O(n³)` per iteration (§IV.D) and debug builds are ~20× slower.
+//! Run with `--release`; a 300-iteration Bayesian search is `O(n²)` per
+//! iteration between ML-II refits and `O(n³)` at each refit (§IV.D), and
+//! debug builds are ~20× slower.
 
 pub mod plot;
 pub mod workloads;

@@ -6,7 +6,10 @@
 //! workload exactly once here makes that drift impossible — the bench and
 //! the gate call the same constructor.
 
+use lens::gp::{MoboConfig, MultiObjectiveOptimizer};
 use lens::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The plain fleet scenario behind `fleet/run/*` and
 /// `fleet/engine_build_10k`: a single unbatched 16-slot / 10 ms cloud
@@ -158,6 +161,44 @@ pub fn gp_training_data(n: usize) -> (Vec<Vec<f64>>, Vec<f64>) {
     (xs, ys)
 }
 
+/// Candidates per suggest in the paper-default search: 128 random samples
+/// plus 64 mutations of the incumbent front.
+pub const SUGGEST_POOL: usize = 192;
+
+/// The state behind `gp/suggest/*` and the gate's `gp/suggest/300`: a
+/// three-objective optimizer at builder-default settings holding `n`
+/// seeded observations in \[0,1\]^23, just after the ML-II refit of its
+/// first `suggest`, plus a fresh [`SUGGEST_POOL`]-candidate pool.
+///
+/// Calling `suggest(&pool, ..)` on it again, with no `tell` in between,
+/// is the scoring half of a steady-state search iteration away from a
+/// refit boundary: one `α` re-solve per objective and the posterior of the
+/// whole pool. No observation arrives between calls, so the factors'
+/// row append is not measured here (`gp/fit/*` times it, because a fit
+/// appends every row from empty). The observations and the pool are drawn
+/// here, outside the measured region; `suggest` itself draws only its
+/// scalarization weights.
+pub fn gp_suggest_state(n: usize) -> (MultiObjectiveOptimizer, Vec<Vec<f64>>) {
+    let dim = 23;
+    let mut rng = StdRng::seed_from_u64(2021);
+    let point = |rng: &mut StdRng| -> Vec<f64> { (0..dim).map(|_| rng.gen::<f64>()).collect() };
+    let mut optimizer = MultiObjectiveOptimizer::new(3, MoboConfig::default());
+    for _ in 0..n {
+        let x = point(&mut rng);
+        let error = x.iter().map(|v| (v * 3.0).sin()).sum::<f64>();
+        let latency = x.iter().map(|v| v * v).sum::<f64>();
+        let energy = x.iter().map(|v| (v * 7.0).sin().abs()).sum::<f64>();
+        optimizer
+            .tell(x, vec![error, latency, energy])
+            .expect("finite observation");
+    }
+    let pool: Vec<Vec<f64>> = (0..SUGGEST_POOL).map(|_| point(&mut rng)).collect();
+    optimizer
+        .suggest(&pool, &mut rng)
+        .expect("the refit succeeds");
+    (optimizer, pool)
+}
+
 /// The deterministic 3-objective point stream behind the `pareto/*`
 /// benches (`build_front`, `coverage`, `combined_composition`,
 /// `hypervolume_3d`).
@@ -194,5 +235,8 @@ mod tests {
         let pipelined = pipeline_fleet_scenario();
         assert!(pipelined.pipeline().is_some_and(|p| p.depth() == 3));
         assert_eq!(pareto_points(3).len(), 3);
+        let (optimizer, pool) = gp_suggest_state(30);
+        assert_eq!(optimizer.num_observations(), 30);
+        assert_eq!(pool.len(), SUGGEST_POOL);
     }
 }

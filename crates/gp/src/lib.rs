@@ -5,14 +5,18 @@
 //!
 //! * [`kernel`] — stationary covariance functions (squared-exponential and
 //!   Matérn-5/2) over the unit-cube architecture embeddings.
-//! * [`gp`] — exact Gaussian-process regression: Cholesky-based fit,
-//!   posterior mean/variance, log marginal likelihood, and ML-II
-//!   hyperparameter selection on a small grid.
-//! * [`acquisition`] — UCB/EI/Thompson acquisition scores for minimization.
+//! * [`gp`] — exact Gaussian-process regression: a Cholesky factor grown
+//!   one row per observation, posterior mean/variance for one point or a
+//!   block of points, log marginal likelihood, and ML-II hyperparameter
+//!   selection on a small grid.
+//! * [`acquisition`] — UCB/EI/Thompson acquisition scores for minimization,
+//!   applied to a posterior `(mean, variance)`.
 //! * [`mobo`] — the multi-objective driver: one GP per objective and
 //!   randomly scalarized acquisitions (Dragonfly's approach), exposed as an
 //!   ask/tell interface so the caller owns candidate generation — which is
-//!   how Algorithm 2 plugs in search-space-aware proposals.
+//!   how Algorithm 2 plugs in search-space-aware proposals. Objectives
+//!   with equal hyperparameters share one factor, and an iteration between
+//!   refits costs `O(n²)`.
 //!
 //! # Examples
 //!

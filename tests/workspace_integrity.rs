@@ -959,6 +959,58 @@ fn staged_pipeline_surface_is_pinned() {
     );
 }
 
+/// Pins the search-surrogate surface: the explored-sequence pins run at
+/// the full 300-iteration budget in the release CI job, `bench_gate`
+/// gates a steady-state `suggest` next to the from-scratch fit, both from
+/// the shared workload constructor, and the docs describe the shared,
+/// row-appended factors under their real names.
+#[test]
+fn search_surrogate_surface_is_pinned() {
+    let root = repo_root();
+    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
+
+    assert!(
+        read(".github/workflows/ci.yml")
+            .contains("cargo test --release -q --locked -p lens --test search_pin"),
+        "CI must run the search pins at the full budget in release mode"
+    );
+    assert!(
+        read("crates/lens/Cargo.toml").contains("path = \"../../tests/search_pin.rs\""),
+        "tests/search_pin.rs must be registered on the facade"
+    );
+
+    let gate = read("crates/bench/src/bin/bench_gate.rs");
+    let bench = read("crates/bench/benches/gp_fit.rs");
+    let baselines = read("crates/bench/benches/BENCH_pareto.json");
+    for needle in ["gp/fit/300", "gp/suggest/300"] {
+        assert!(gate.contains(needle), "bench_gate must gate {needle}");
+    }
+    assert!(
+        gate.contains("workloads::gp_suggest_state") && bench.contains("gp_suggest_state"),
+        "gate and gp_fit bench must build the suggest state from lens_bench::workloads"
+    );
+    let at = baselines
+        .find("\"gp/suggest/300\"")
+        .expect("BENCH_pareto.json must record gp/suggest/300");
+    let section = &baselines[at..at + baselines[at..].find('}').unwrap()];
+    assert!(
+        section.contains("\"before_ms\"") && section.contains("\"after_ms\""),
+        "gp/suggest/300 must carry a before/after baseline"
+    );
+
+    let architecture = read("docs/ARCHITECTURE.md");
+    assert!(
+        architecture.contains("## Search surrogate cost"),
+        "docs/ARCHITECTURE.md must explain where a search iteration's time goes"
+    );
+    let paper_map = read("docs/PAPER_MAP.md");
+    assert!(
+        paper_map.contains("lens-gp::mobo::MultiObjectiveOptimizer")
+            && !paper_map.contains("MoboDriver"),
+        "docs/PAPER_MAP.md must name the MOBO driver by its real type"
+    );
+}
+
 /// Anti-drift pin for the README's workspace inventory: every crate
 /// directory and every example file must be mentioned by name. A new
 /// crate or example that skips the README fails here instead of rotting
