@@ -3,12 +3,15 @@
 //! [`FleetEngine::new`] does the design-time work once per scenario —
 //! network analysis, per-cohort option enumeration and dominance maps —
 //! and [`FleetEngine::run`] executes the population: devices are split
-//! into contiguous shards, each shard owns an event queue keyed by
+//! into contiguous id ranges, one shard each. A shard stores its devices
+//! in firing order (`ShardState` below), owns an event queue keyed by
 //! integer microseconds (an O(1) sorted ring under periodic arrivals, a
 //! binary heap under Poisson — `EventQueue` below) plus an epoch-major
-//! arena of its devices' throughput samples, and shards synchronize with
-//! the shared cloud only at epoch barriers (see the crate-level docs for
-//! the determinism contract and the one-epoch contention lag).
+//! arena that holds the only copy of its devices' throughput samples, and
+//! shards synchronize with the shared cloud only at epoch barriers (see
+//! the crate-level docs for the determinism contract and the one-epoch
+//! contention lag). Under periodic arrivals the shard step therefore
+//! streams the device array and the epoch's sample row front to back.
 //!
 //! At each barrier the engine runs the serving tier's **batch-close
 //! events** in fluid form: merged offload counts are admitted per region,
@@ -64,19 +67,34 @@ pub struct FleetEngine {
     cumulative: Vec<f64>,
 }
 
+/// One shard: the devices with ids `lo..hi`, laid out in **firing order**.
+///
+/// Under periodic arrivals a device's first event is a hash-spread phase
+/// of its id, and every later event is that phase plus a whole number of
+/// periods. `build_shards` sorts the shard by `(phase, id)` and gives
+/// local index `l` to the `l`-th device of that order, so every period's
+/// ring pops visit locals `0, 1, …, n−1` in turn: the device array and
+/// each epoch's sample row are read front to back instead of at random.
+/// Devices that fire in the same µs share a phase, so they keep ascending
+/// id order — the pop sequence of `(time, device id)` is exactly the one
+/// an id-ordered layout produces.
+///
+/// Under Poisson arrivals the layout is the identity (local `l` is id
+/// `lo + l`). The heap breaks same-µs ties by local index, and each
+/// shard's request run must be sorted by `(arrival_us, device_id, stage)`
+/// for the barrier's k-way merge (debug-asserted in `src/replay.rs`); a
+/// permuted layout would break that order.
 struct ShardState {
+    /// Devices by local index; each carries its global id.
     devices: Vec<Device>,
     /// Pending events keyed by (event time µs, local device index).
     queue: EventQueue,
     /// Epoch-major throughput-sample arena: `samples[e * n + local]` is
     /// device `local`'s sample for epoch `e`, so all of one epoch's reads
-    /// land in a single contiguous row instead of chasing every device's
-    /// own trace allocation per event.
+    /// land in a single contiguous row, read in order under periodic
+    /// arrivals. It is the only copy of the samples.
     samples: Vec<Mbps>,
     report: FleetReport,
-    /// Global id of this shard's first device (`local + base_id` is the
-    /// stable, shard-count-invariant device id).
-    base_id: usize,
     /// Reusable per-epoch scratch, cleared and refilled in place by
     /// `advance_shard` so the request/event buffers stay warm.
     epoch: ShardEpochOutput,
@@ -290,7 +308,26 @@ impl FleetEngine {
             .unwrap_or(self.cumulative.len() - 1)
     }
 
-    fn build_device(&self, device_id: usize, num_samples: usize) -> Device {
+    /// The shard's device ids in layout order (see [`ShardState`]): sorted
+    /// by `(first periodic arrival, id)`, or ascending under Poisson.
+    fn shard_layout(&self, lo: usize, hi: usize) -> Vec<usize> {
+        let mut ids: Vec<usize> = (lo..hi).collect();
+        if let ArrivalModel::Periodic { period } = self.scenario.arrival {
+            let period_us = to_us(period.get());
+            ids.sort_by_cached_key(|&id| (self.periodic_phase_us(id, period_us), id));
+        }
+        ids
+    }
+
+    /// A periodic device's first-event offset within the period — a pure
+    /// function of its id and the scenario seed.
+    fn periodic_phase_us(&self, device_id: usize, period_us: u64) -> u64 {
+        mix_seed(mix_seed(self.scenario.seed, device_id as u64), 3) % period_us
+    }
+
+    /// Builds device `device_id` and returns it with its first event time
+    /// and its synthesized throughput trace (one sample per epoch).
+    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, u64, ThroughputTrace) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);
         let cohort = &self.cohorts[cohort_idx];
@@ -309,23 +346,21 @@ impl FleetEngine {
             mix_seed(dseed, 1),
         );
         let mut device = Device::new(
+            device_id as u64,
             cohort_idx as u32,
             high_priority,
-            trace,
             scenario.tracker_alpha,
             mix_seed(dseed, 2),
-            0,
         );
-        device.next_event_us = match scenario.arrival {
+        let first_event_us = match scenario.arrival {
             ArrivalModel::Periodic { period } => {
-                let period_us = to_us(period.get());
-                mix_seed(dseed, 3) % period_us
+                self.periodic_phase_us(device_id, to_us(period.get()))
             }
             ArrivalModel::Poisson { mean_interarrival } => {
                 device.draw_interarrival_us(mean_interarrival.get() * 1000.0)
             }
         };
-        device
+        (device, first_event_us, trace)
     }
 
     /// Runs the scenario to completion and returns the merged report,
@@ -861,19 +896,8 @@ impl FleetEngine {
         let region_names = scenario.region_names();
         let num_regions = scenario.regions.len();
         let per_request = scenario.fidelity == CloudSimFidelity::PerRequest;
-        let population = scenario.population;
-        let shards = scenario.shards;
-        let base = population / shards;
-        let remainder = population % shards;
-        let mut bounds = Vec::with_capacity(shards);
-        let mut start = 0usize;
-        for shard in 0..shards {
-            let len = base + usize::from(shard < remainder);
-            bounds.push((start, start + len));
-            start += len;
-        }
         std::thread::scope(|scope| {
-            let handles: Vec<_> = bounds
+            let handles: Vec<_> = shard_bounds(scenario.population, scenario.shards)
                 .into_iter()
                 .map(|(lo, hi)| {
                     let region_names = &region_names;
@@ -881,16 +905,21 @@ impl FleetEngine {
                         let n = hi - lo;
                         let mut devices = Vec::with_capacity(n);
                         let mut seeds = Vec::with_capacity(n);
-                        for (local, id) in (lo..hi).enumerate() {
-                            let device = self.build_device(id, num_samples);
-                            seeds.push((device.next_event_us, local as u32));
-                            devices.push(device);
-                        }
                         // Epoch-major sample arena: row `e` holds every
-                        // device's sample for epoch `e`, contiguously.
-                        let mut samples = Vec::with_capacity(num_samples * n);
-                        for e in 0..num_samples {
-                            samples.extend(devices.iter().map(|d| d.trace().samples()[e]));
+                        // device's sample for epoch `e`, contiguously, in
+                        // layout order. Each device overwrites its own
+                        // column below, so the fill value is never read.
+                        let mut samples = vec![Mbps::new(1.0); num_samples * n];
+                        for (local, id) in self.shard_layout(lo, hi).into_iter().enumerate() {
+                            let (device, first_event_us, trace) =
+                                self.build_device(id, num_samples);
+                            for (epoch, &sample) in trace.samples().iter().enumerate() {
+                                samples[epoch * n + local] = sample;
+                            }
+                            let local = u32::try_from(local)
+                                .expect("scenario validation bounds the shard size to u32");
+                            seeds.push((first_event_us, local));
+                            devices.push(device);
                         }
                         ShardState {
                             devices,
@@ -902,7 +931,6 @@ impl FleetEngine {
                                 NUM_BINS,
                                 region_names,
                             ),
-                            base_id: lo,
                             epoch: ShardEpochOutput {
                                 arrivals: vec![(0, 0); num_regions],
                                 requests: vec![
@@ -924,13 +952,28 @@ impl FleetEngine {
     }
 }
 
+/// Splits `population` device ids into `shards` contiguous `(lo, hi)`
+/// ranges, the first `population % shards` one device longer.
+fn shard_bounds(population: usize, shards: usize) -> Vec<(usize, usize)> {
+    let base = population / shards;
+    let remainder = population % shards;
+    let mut start = 0usize;
+    (0..shards)
+        .map(|shard| {
+            let len = base + usize::from(shard < remainder);
+            start += len;
+            (start - len, start)
+        })
+        .collect()
+}
+
 /// Converts scenario milliseconds to integer event-clock microseconds.
 ///
 /// Scenario validation rejects non-finite or negative durations at build
 /// time, so a bad value reaching this cast is an engine bug — fail loudly
 /// instead of letting `as u64` silently saturate a NaN or a negative
 /// duration to 0 µs (which would quietly collapse the event clock).
-fn to_us(ms: f64) -> u64 {
+pub(crate) fn to_us(ms: f64) -> u64 {
     assert!(
         ms.is_finite() && ms >= 0.0,
         "duration must be a finite, non-negative ms value, got {ms}"
@@ -1116,7 +1159,6 @@ fn advance_shard(
         queue,
         samples,
         report,
-        base_id,
         epoch: output,
     } = state;
     debug_assert_eq!(output.arrivals.len(), num_regions);
@@ -1139,11 +1181,11 @@ fn advance_shard(
         }
         let device = &mut devices[local as usize];
         let cohort = &cohorts[device.cohort_index()];
-        let served = device.serve_with_sample(cohort, ctx, signals, time, row[local as usize]);
+        let served = device.serve(cohort, ctx, signals, time, row[local as usize]);
         if trace {
             crate::device::trace_serve_events(
                 &served,
-                (*base_id + local as usize) as u64,
+                device.id,
                 cohort.region_index as u64,
                 device.high_priority(),
                 time,
@@ -1173,7 +1215,7 @@ fn advance_shard(
             if per_request {
                 output.requests[dest].push(OffloadRequest {
                     arrival_us: time,
-                    device_id: (*base_id + local as usize) as u64,
+                    device_id: device.id,
                     stage: 1,
                     high_priority: device.high_priority(),
                     origin_region: cohort.region_index as u32,
@@ -1724,6 +1766,75 @@ mod tests {
                 ring.push((next, local));
                 heap.push((next, local));
             }
+        }
+    }
+
+    /// Each shard's global ids, in layout order.
+    fn layout_ids(state: &ShardState) -> Vec<u64> {
+        state.devices.iter().map(|d| d.id).collect()
+    }
+
+    #[test]
+    fn periodic_layout_fires_each_period_in_local_order() {
+        // 300 devices over 3 shards, one-minute period = one epoch.
+        let engine = FleetEngine::new(small_scenario(3)).unwrap();
+        let period_us = 60_000_000u64;
+        let mut shards = engine.build_shards(10);
+        for (state, (lo, hi)) in shards.iter_mut().zip(shard_bounds(300, 3)) {
+            let n = hi - lo;
+            let range: Vec<u64> = (lo as u64..hi as u64).collect();
+            let ids = layout_ids(state);
+            assert_ne!(ids, range, "hash-spread phases permute the shard");
+            let mut sorted = ids.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, range, "the layout is a permutation of lo..hi");
+            // The samples moved with their device: column `local` of the
+            // arena is device `ids[local]`'s synthesized trace.
+            for (local, &id) in ids.iter().enumerate() {
+                let cohort = &engine.cohorts()[engine.cohort_of(id as usize)];
+                let dseed = mix_seed(engine.scenario().seed, id);
+                let trace = ThroughputTrace::synthesize(
+                    &cohort.region,
+                    cohort.technology,
+                    10,
+                    engine.scenario().trace_interval,
+                    mix_seed(dseed, 1),
+                );
+                for (epoch, &sample) in trace.samples().iter().enumerate() {
+                    assert_eq!(state.samples[epoch * n + local], sample);
+                }
+            }
+            // Every period pops locals 0, 1, …, n−1 in turn.
+            for period in 1..=3 {
+                let mut popped = Vec::new();
+                while let Some((time, local)) = state.queue.pop_before(period * period_us) {
+                    popped.push(local);
+                    state.queue.push((time + period_us, local));
+                }
+                assert_eq!(popped, (0..n as u32).collect::<Vec<_>>(), "period {period}");
+            }
+        }
+    }
+
+    #[test]
+    fn poisson_layout_is_the_identity() {
+        let scenario = FleetScenario::builder()
+            .population(300)
+            .horizon(Millis::new(600_000.0))
+            .arrival(ArrivalModel::Poisson {
+                mean_interarrival: Millis::new(60_000.0),
+            })
+            .shards(3)
+            .seed(3)
+            .build()
+            .unwrap();
+        let engine = FleetEngine::new(scenario).unwrap();
+        let shards = engine.build_shards(10);
+        for (state, (lo, hi)) in shards.iter().zip(shard_bounds(300, 3)) {
+            assert_eq!(
+                layout_ids(state),
+                (lo as u64..hi as u64).collect::<Vec<_>>()
+            );
         }
     }
 

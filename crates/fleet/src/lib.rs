@@ -19,10 +19,11 @@
 //! * [`FleetScenario`] — declarative description of a fleet: population
 //!   size, regional mix, technology mix, arrival model, cloud serving
 //!   tier, switching policy, seed ([`scenario`]).
-//! * [`Device`] sessions — a per-device synthesized throughput trace
-//!   (`GaussMarkov` around the region's expected rate), a
-//!   `ThroughputTracker`, and a deployment policy over the cohort's shared
-//!   `DominanceMap` ([`device`]).
+//! * [`Device`] sessions — a `ThroughputTracker` and a deployment policy
+//!   over the cohort's shared `DominanceMap`, fed one sample per event
+//!   from a per-device synthesized throughput trace (`GaussMarkov` around
+//!   the region's expected rate) that the engine stores once, in its
+//!   shard's sample arena ([`device`]).
 //! * [`CloudServing`] / [`RegionServing`] — the per-region serving tier:
 //!   heterogeneous [`BackendConfig`] pools (e.g. GPU vs. CPU) with dynamic
 //!   batchers ([`BatchPolicy`]: batches close at `max_batch` items or when

@@ -182,3 +182,60 @@ fn all_three_estimator_backends_agree_on_contract() {
         assert!((0.0..=100.0).contains(&a), "backend {i} out of range: {a}");
     }
 }
+
+/// Fleet scenarios too large for the engine's shard layout are rejected
+/// with `Err` at build time: a shard beyond the `u32` local-index range,
+/// and an `epochs × shard size` sample arena beyond the largest
+/// allocation. The oversized population split over more shards is
+/// accepted, and an accepted edge case runs.
+#[test]
+fn oversized_fleet_layouts_are_rejected_not_truncated() {
+    let rejected = |builder: lens::fleet::FleetScenarioBuilder, needle: &str| match builder.build()
+    {
+        Err(lens::fleet::FleetError::InvalidScenario(why)) => {
+            assert!(why.contains(needle), "{why}")
+        }
+        other => panic!("expected InvalidScenario({needle}), got {other:?}"),
+    };
+    // One shard of 2³² + 1 devices overflows the u32 local index…
+    let huge = u32::MAX as usize + 2;
+    rejected(
+        FleetScenario::builder().population(huge).shards(1),
+        "u32::MAX devices",
+    );
+    // …two shards of 2³¹ + 1 fit (building allocates nothing).
+    assert!(FleetScenario::builder()
+        .population(huge)
+        .shards(2)
+        .build()
+        .is_ok());
+    // 10 devices × one epoch per µs of an astronomically long horizon
+    // overflows the sample arena's size…
+    let endless = || {
+        FleetScenario::builder()
+            .population(10)
+            .horizon(Millis::new(1e300))
+            .trace_interval(Millis::new(0.001))
+    };
+    rejected(endless(), "arena");
+    // …and so does one whose byte size fits in a u64 but exceeds the
+    // largest allocation (2·10¹⁷ epochs × 10 devices × 8 B > isize::MAX).
+    rejected(endless().horizon(Millis::new(2e14)), "arena");
+    // An accepted edge case — one device per shard, a single short
+    // epoch — runs to completion.
+    let scenario = FleetScenario::builder()
+        .population(3)
+        .shards(3)
+        .horizon(Millis::new(1.0))
+        .trace_interval(Millis::new(1.0))
+        .arrival(ArrivalModel::Periodic {
+            period: Millis::new(0.5),
+        })
+        .build()
+        .expect("edge case is valid");
+    let report = FleetEngine::new(scenario)
+        .expect("engine builds")
+        .run()
+        .expect("run succeeds");
+    assert_eq!(report.inferences(), 6);
+}

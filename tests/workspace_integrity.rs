@@ -1011,6 +1011,29 @@ fn search_surrogate_surface_is_pinned() {
     );
 }
 
+/// Pins the fleet digest surface: the absolute fleet pins run in the
+/// release CI job and are registered on the facade, and the architecture
+/// doc explains the shard-step layout they protect.
+#[test]
+fn fleet_pin_surface_is_pinned() {
+    let root = repo_root();
+    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
+
+    assert!(
+        read(".github/workflows/ci.yml")
+            .contains("cargo test --release -q --locked -p lens --test fleet_pin"),
+        "CI must run the fleet pins in release mode"
+    );
+    assert!(
+        read("crates/lens/Cargo.toml").contains("path = \"../../tests/fleet_pin.rs\""),
+        "tests/fleet_pin.rs must be registered on the facade"
+    );
+    assert!(
+        read("docs/ARCHITECTURE.md").contains("shard-step layout"),
+        "docs/ARCHITECTURE.md must explain the shard-step layout"
+    );
+}
+
 /// Anti-drift pin for the README's workspace inventory: every crate
 /// directory and every example file must be mentioned by name. A new
 /// crate or example that skips the README fails here instead of rotting
