@@ -32,7 +32,8 @@ use crate::cloud::{CloudSimFidelity, OffloadRequest, QueueDiscipline, RegionSign
 use crate::device::{Device, ServeContext};
 use crate::pipeline::PipelinePricing;
 use crate::replay::{
-    replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay, RegionBarrierOutput,
+    region_probe, replay_in_parallel, run_barrier, FluidRegionReplay, PerRequestRegionReplay,
+    RegionBarrierOutput, RegionReplay,
 };
 use crate::report::{BackendReport, FleetReport};
 use crate::scenario::{ArrivalModel, FleetPolicy, FleetScenario, WorkloadCurve};
@@ -377,7 +378,7 @@ impl FleetEngine {
     /// Currently infallible after [`FleetEngine::new`] succeeds; the
     /// `Result` reserves room for resource limits.
     pub fn run(&self) -> Result<FleetReport, FleetError> {
-        Ok(self.run_with(&mut NullSink)?.0)
+        Ok(self.run_sink(&mut NullSink)?.0)
     }
 
     /// Runs the scenario with the flight recorder attached, returning the
@@ -393,7 +394,7 @@ impl FleetEngine {
     /// Same contract as [`run`](FleetEngine::run).
     pub fn run_traced(&self) -> Result<(FleetReport, RunTelemetry), FleetError> {
         let mut recorder = FlightRecorder::new(self.scenario.telemetry.event_capacity());
-        let (report, metrics, profile) = self.run_with(&mut recorder)?;
+        let (report, metrics, profile) = self.run_sink(&mut recorder)?;
         Ok((
             report,
             RunTelemetry {
@@ -404,20 +405,32 @@ impl FleetEngine {
         ))
     }
 
-    /// The shared run loop, generic over the event sink.
-    fn run_with<S: Sink>(
+    /// Picks the region replay worker from the scenario's
+    /// [`CloudSimFidelity`] — the one place the run loop branches on it.
+    fn run_sink<S: Sink>(
         &self,
         sink: &mut S,
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
         match self.scenario.fidelity {
-            CloudSimFidelity::Fluid => self.run_fluid(sink),
-            CloudSimFidelity::PerRequest => self.run_per_request(sink),
+            CloudSimFidelity::Fluid => self.run_with::<S, FluidRegionReplay>(sink),
+            CloudSimFidelity::PerRequest => self.run_with::<S, PerRequestRegionReplay>(sink),
         }
     }
 
-    /// The fluid path (PR 3): offloads are merged as counts and the
-    /// serving tier drains them as epoch aggregates.
-    fn run_fluid<S: Sink>(
+    /// The run loop, generic over the event sink and the region replay
+    /// worker.
+    ///
+    /// Shards advance a whole epoch in parallel — an offload only *joins
+    /// the cloud queue*, it cannot influence any other device within the
+    /// epoch. At the barrier each region's worker drains the epoch's
+    /// offloads: the fluid tier admits the merged counts and drains them
+    /// as aggregates; the per-request tier k-way merges the shards'
+    /// request runs by the shard-count-invariant
+    /// `(arrival_us, device_id, stage)` key and replays them through its
+    /// [`RegionMicrosim`](crate::cloud::RegionMicrosim), finishing each
+    /// deferred device record at completion (end-to-end latency = the
+    /// device-side latency captured at arrival + the exact cloud sojourn).
+    fn run_with<S: Sink, W: RegionReplay>(
         &self,
         sink: &mut S,
     ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
@@ -435,8 +448,21 @@ impl FleetEngine {
         let pricing = self.pipeline_pricing();
 
         let parallel = replay_in_parallel(scenario.replay(), num_regions);
-        let mut workers: Vec<FluidRegionReplay> = (0..num_regions)
-            .map(|_| FluidRegionReplay::new(&scenario.serving, num_epochs))
+        // Workers that resolve requests accumulate their own report
+        // partial and sojourn histogram, merged with the shard partials at
+        // the end (fixed-point sums make the merge order irrelevant — even
+        // for failovers, which land a record in another region's partial).
+        let empty_report =
+            FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
+        let mut workers: Vec<W> = (0..num_regions)
+            .map(|_| {
+                W::new(
+                    &scenario.serving,
+                    &empty_report,
+                    num_epochs,
+                    pricing.as_ref(),
+                )
+            })
             .collect();
         // Barrier-published per-region signals, one epoch behind.
         let mut signals = vec![RegionSignal::default(); num_regions];
@@ -446,161 +472,7 @@ impl FleetEngine {
         let mut profile = EngineProfile::new();
         let series = self.register_series::<S>(&mut metrics, &region_names);
         let mut curve_telemetry = self.register_curve_series::<S>(&mut metrics, &region_names);
-
-        for epoch in 0..num_epochs {
-            let epoch_start = epoch as u64 * epoch_us;
-            let epoch_end = ((epoch + 1) as u64 * epoch_us).min(horizon_us);
-            for (region, s) in wait_series.iter_mut().zip(&signals) {
-                region.push(s.wait_low_ms);
-            }
-
-            self.advance_epoch(
-                &mut shard_states,
-                &signals,
-                pricing.as_ref(),
-                epoch,
-                epoch_end,
-                S::ENABLED,
-            );
-            merge_shard_trace::<S>(
-                sink,
-                &mut profile,
-                &mut shard_states,
-                epoch_end,
-                epoch as u64,
-            );
-
-            // Barrier: each region's worker admits the merged offload
-            // demand (integer sums, so the result is independent of the
-            // shard count), runs the serving tier's batch-close events,
-            // scales, then publishes next epoch's signal — strictly in
-            // that order, so published waits and shed fractions price the
-            // post-scale capacity. Regions are independent between the
-            // shard drain and the publish, so the workers replay
-            // region-major — in parallel when the replay mode resolves so
-            // — and buffer telemetry per (region, phase); the flush below
-            // re-serializes it phase-major in fixed region order,
-            // bit-identical to a sequential per-phase sweep.
-            let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
-            let shard_epochs: Vec<&ShardEpochOutput> =
-                shard_states.iter().map(|state| &state.epoch).collect();
-            let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
-                worker.barrier(region, &shard_epochs, epoch_ms, epoch_end, S::ENABLED)
-            });
-            flush_barrier_outputs::<S>(sink, &mut profile, &mut outputs, epoch_end, epoch as u64);
-            for (signal, output) in signals.iter_mut().zip(&outputs) {
-                *signal = output.signal;
-            }
-            if S::ENABLED {
-                profile.bump_epochs();
-                for region in 0..num_regions {
-                    let serving = &workers[region].serving;
-                    metrics.push(series.depth[region], to_fp(serving.depth()));
-                    metrics.push(series.shed[region], to_fp(signals[region].shed_fraction));
-                    for (backend, &id) in series.slots[region].iter().enumerate() {
-                        let live = serving.live_slots()[backend];
-                        metrics.push(id, live as i64 * METRIC_FP_SCALE);
-                    }
-                }
-                sample_curve(
-                    sink,
-                    &mut metrics,
-                    &mut curve_telemetry,
-                    self.scenario.workload(),
-                    epoch_start,
-                    epoch_end,
-                );
-            }
-        }
-
-        let mut report = FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
-        for state in &shard_states {
-            report.merge(&state.report);
-        }
-        let depth_series = workers
-            .iter_mut()
-            .map(|worker| std::mem::take(&mut worker.depth_series))
-            .collect();
-        report.set_queue_series(depth_series, wait_series);
-        let horizon_ms = horizon_us as f64 / 1000.0;
-        let mut backend_reports = Vec::new();
-        for (region, worker) in workers.iter().enumerate() {
-            for stats in worker.serving.backend_stats() {
-                backend_reports.push(BackendReport {
-                    region: region_names[region].clone(),
-                    backend: stats.name,
-                    slots: stats.slots,
-                    served_jobs: stats.served_jobs,
-                    batches: stats.batches,
-                    busy_ms: stats.busy_ms,
-                    utilization: stats.busy_ms / horizon_ms,
-                    batch_sizes: stats.batch_sizes,
-                    sojourn_ms: stats.sojourn_ms,
-                    slot_timeline: stats.slot_timeline,
-                    scaling_events: stats.scale_events,
-                    cost_fp: stats.cost_fp,
-                    cloud_energy_mj: stats.cloud_energy_mj,
-                });
-            }
-        }
-        report.set_backend_reports(backend_reports);
-        Ok((report, metrics, profile))
-    }
-
-    /// The per-request path: every offloaded request becomes a discrete
-    /// event inside its serving region's [`RegionMicrosim`].
-    ///
-    /// Shards still advance a whole epoch in parallel — an offload only
-    /// *joins the cloud queue*, it cannot influence any other device
-    /// within the epoch — so at the barrier the engine merges each
-    /// region's requests from all shards, sorts them by the
-    /// shard-count-invariant `(arrival_us, device_id, stage)` key, and replays
-    /// the epoch through the microsim's event heap, interleaving device
-    /// arrival events with batch-close and slot-free events in global
-    /// time order. Completions (whenever they land) finish the deferred
-    /// device records: end-to-end latency = the device-side latency
-    /// captured at arrival + the exact cloud sojourn.
-    fn run_per_request<S: Sink>(
-        &self,
-        sink: &mut S,
-    ) -> Result<(FleetReport, MetricsRegistry, EngineProfile), FleetError> {
-        let scenario = &self.scenario;
-        let num_regions = scenario.regions.len();
-        let region_names = scenario.region_names();
-        let horizon_us = to_us(scenario.horizon.get());
-        let epoch_us = to_us(scenario.trace_interval.get());
-        let num_epochs = horizon_us.div_ceil(epoch_us) as usize;
-
-        let mut shard_states = self.build_shards(num_epochs);
-
-        let parallel = replay_in_parallel(scenario.replay(), num_regions);
-        // Offloaded records are deferred to completion; each region's
-        // worker accumulates its own report partial and sojourn histogram,
-        // merged with the shard partials at the end (fixed-point sums make
-        // the merge order irrelevant — even for failovers, which land a
-        // record in another region's partial).
-        let empty_report =
-            FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
-        let pricing = self.pipeline_pricing();
-        let mut workers: Vec<PerRequestRegionReplay> = (0..num_regions)
-            .map(|_| {
-                PerRequestRegionReplay::new(
-                    &scenario.serving,
-                    &empty_report,
-                    num_epochs,
-                    pricing.clone(),
-                )
-            })
-            .collect();
-        let mut signals = vec![RegionSignal::default(); num_regions];
-        let mut wait_series = vec![Vec::with_capacity(num_epochs); num_regions];
-
-        let mut metrics = MetricsRegistry::new(epoch_us);
-        let mut profile = EngineProfile::new();
-        let mut probe = self.make_probe::<S>();
-        let series = self.register_series::<S>(&mut metrics, &region_names);
-        let mut curve_telemetry = self.register_curve_series::<S>(&mut metrics, &region_names);
-        let p99_series: Vec<SeriesId> = if S::ENABLED {
+        let p99_series: Vec<SeriesId> = if S::ENABLED && W::RESOLVES_REQUESTS {
             region_names
                 .iter()
                 .map(|name| metrics.series(&format!("p99_ms/{name}")))
@@ -632,13 +504,15 @@ impl FleetEngine {
                 epoch as u64,
             );
 
-            // Barrier: each region's worker k-way merges the shards'
-            // request runs, replays them through its microsim, scales,
-            // then publishes — region-major, in parallel when the replay
-            // mode resolves so. Regions are independent between the shard
-            // drain and the publish, so this is behavior-preserving, and
-            // the phase-major flush below reproduces the sequential
-            // sweep's telemetry stream bit for bit.
+            // Barrier: each region's worker drains the epoch, scales, then
+            // publishes next epoch's signal — strictly in that order, so
+            // published waits and shed fractions price the post-scale
+            // capacity. Regions are independent between the shard drain
+            // and the publish, so the workers replay region-major — in
+            // parallel when the replay mode resolves so — and buffer
+            // telemetry per (region, phase); the flush below
+            // re-serializes it phase-major in fixed region order,
+            // bit-identical to a sequential per-phase sweep.
             let shard_epochs: Vec<&ShardEpochOutput> =
                 shard_states.iter().map(|state| &state.epoch).collect();
             let mut outputs = run_barrier(&mut workers, parallel, |region, worker| {
@@ -657,20 +531,19 @@ impl FleetEngine {
             }
             if S::ENABLED {
                 profile.bump_epochs();
-                for region in 0..num_regions {
-                    let worker = &workers[region];
-                    metrics.push(series.depth[region], to_fp(worker.sim.depth()));
+                for (region, worker) in workers.iter().enumerate() {
+                    metrics.push(series.depth[region], to_fp(worker.depth()));
                     metrics.push(series.shed[region], to_fp(signals[region].shed_fraction));
-                    for (backend, &id) in series.slots[region].iter().enumerate() {
-                        let live = worker.sim.live_slots()[backend];
+                    let live_slots = worker.live_slots();
+                    for (&id, &live) in series.slots[region].iter().zip(&live_slots) {
                         metrics.push(id, live as i64 * METRIC_FP_SCALE);
                     }
-                    // Cumulative tail so far — the closed-loop signal the
-                    // flash-crowd work wants to watch epoch by epoch.
-                    metrics.push(
-                        p99_series[region],
-                        to_fp(worker.sim.region_sojourn().percentile(99.0)),
-                    );
+                    if W::RESOLVES_REQUESTS {
+                        // Cumulative tail so far — the closed-loop signal
+                        // the flash-crowd work wants to watch epoch by
+                        // epoch.
+                        metrics.push(p99_series[region], to_fp(worker.p99_ms()));
+                    }
                 }
                 sample_curve(
                     sink,
@@ -683,38 +556,36 @@ impl FleetEngine {
             }
         }
 
-        // The cloud drains its backlog past the horizon so every admitted
-        // request completes and the tails account for the whole fleet.
-        // The post-horizon work lands in one final drain-phase record
-        // (sequential: it is one sweep, not per-epoch work).
-        for (region, worker) in workers.iter_mut().enumerate() {
-            worker.flush(region, &mut probe);
+        if W::RESOLVES_REQUESTS {
+            // The cloud drains its backlog past the horizon so every
+            // admitted request completes and the tails account for the
+            // whole fleet. The post-horizon work lands in one final
+            // drain-phase record (sequential: it is one sweep, not
+            // per-epoch work).
+            let mut probe = region_probe(S::ENABLED);
+            for (region, worker) in workers.iter_mut().enumerate() {
+                worker.flush(region, &mut probe);
+            }
+            flush_probe::<S>(
+                sink,
+                &mut profile,
+                &mut probe,
+                BarrierPhase::Drain,
+                horizon_us,
+                num_epochs as u64,
+            );
         }
-        flush_probe::<S>(
-            sink,
-            &mut profile,
-            &mut probe,
-            BarrierPhase::Drain,
-            horizon_us,
-            num_epochs as u64,
-        );
 
-        let mut report = FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
+        let mut report = empty_report;
         for state in &shard_states {
             report.merge(&state.report);
         }
-        for worker in &workers {
-            report.merge(&worker.report);
-        }
-        let depth_series = workers
-            .iter_mut()
-            .map(|worker| std::mem::take(&mut worker.depth_series))
-            .collect();
+        let depth_series = workers.iter_mut().map(W::take_depth_series).collect();
         report.set_queue_series(depth_series, wait_series);
         let horizon_ms = horizon_us as f64 / 1000.0;
         let mut backend_reports = Vec::new();
         for (region, worker) in workers.iter().enumerate() {
-            for stats in worker.sim.backend_stats() {
+            for stats in worker.backend_stats() {
                 backend_reports.push(BackendReport {
                     region: region_names[region].clone(),
                     backend: stats.name,
@@ -733,12 +604,13 @@ impl FleetEngine {
             }
         }
         report.set_backend_reports(backend_reports);
-        report.set_cloud_sojourn(
-            workers
-                .into_iter()
-                .map(|mut worker| worker.sim.take_region_sojourn())
-                .collect(),
-        );
+        if W::RESOLVES_REQUESTS {
+            let (partials, sojourns): (Vec<_>, Vec<_>) = workers.into_iter().map(W::finish).unzip();
+            for partial in &partials {
+                report.merge(partial);
+            }
+            report.set_cloud_sojourn(sojourns);
+        }
         Ok((report, metrics, profile))
     }
 
@@ -755,15 +627,6 @@ impl FleetEngine {
                 .collect();
             PipelinePricing::new(spec, &uplinks)
         })
-    }
-
-    /// The barrier-thread probe: recording iff the sink is enabled.
-    fn make_probe<S: Sink>(&self) -> PhaseProbe {
-        if S::ENABLED {
-            PhaseProbe::enabled()
-        } else {
-            PhaseProbe::disabled()
-        }
     }
 
     /// Registers the per-region timelines sampled at every barrier, in
@@ -1250,9 +1113,7 @@ fn advance_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cloud::{
-        AdmissionPolicy, BackendConfig, CloudCapacity, CloudServing, FailoverPolicy,
-    };
+    use crate::cloud::{AdmissionPolicy, BackendConfig, CloudServing, FailoverPolicy};
     use crate::scenario::RegionShare;
     use lens_nn::units::{Mbps, Millis};
     use lens_runtime::{DeploymentKind, Metric};
@@ -1263,7 +1124,7 @@ mod tests {
             .population(300)
             .horizon(Millis::new(600_000.0))
             .trace_interval(Millis::new(60_000.0))
-            .cloud(CloudCapacity::new(4, 10.0))
+            .serving(CloudServing::single(4, 10.0))
             .shards(shards)
             .seed(42)
             .build()
@@ -1399,9 +1260,9 @@ mod tests {
         // (drain budget 120/epoch) saturate the queue hard.
         let congested = |discipline_priority: bool| {
             let cloud = if discipline_priority {
-                CloudCapacity::new(2, 1000.0).with_priority(0.2)
+                CloudServing::single(2, 1000.0).with_priority(0.2)
             } else {
-                CloudCapacity::new(2, 1000.0)
+                CloudServing::single(2, 1000.0)
             };
             let scenario = FleetScenario::builder()
                 .population(400)
@@ -1410,7 +1271,7 @@ mod tests {
                     Region::new("USA", Mbps::new(7.5)),
                     1.0,
                 )])
-                .cloud(cloud)
+                .serving(cloud)
                 .policy(FleetPolicy::Fixed(DeploymentKind::AllCloud))
                 .metric(Metric::Latency)
                 .shards(2)

@@ -138,7 +138,7 @@
 //! A small dynamic fleet against the default single-backend cloud:
 //!
 //! ```
-//! use lens_fleet::{CloudCapacity, FleetPolicy, FleetScenario};
+//! use lens_fleet::{CloudServing, FleetPolicy, FleetScenario};
 //! use lens_nn::units::Millis;
 //! use lens_runtime::Metric;
 //!
@@ -146,7 +146,7 @@
 //! let scenario = FleetScenario::builder()
 //!     .population(200)
 //!     .horizon(Millis::new(600_000.0)) // 10 minutes
-//!     .cloud(CloudCapacity::new(8, 8.0))
+//!     .serving(CloudServing::single(8, 8.0))
 //!     .policy(FleetPolicy::Dynamic)
 //!     .metric(Metric::Energy)
 //!     .seed(7)
@@ -225,10 +225,9 @@ pub mod report;
 pub mod scenario;
 
 pub use cloud::{
-    AdmissionPolicy, Autoscaler, BackendConfig, BackendStats, BatchPolicy, CloudCapacity,
-    CloudServing, CloudSimFidelity, CompletedRequest, DispatchPolicy, FailoverPolicy,
-    OffloadRequest, QueueDiscipline, RegionMicrosim, RegionServing, RegionSignal, ScalerState,
-    ScalingSignal,
+    AdmissionPolicy, Autoscaler, BackendConfig, BackendStats, BatchPolicy, CloudServing,
+    CloudSimFidelity, CompletedRequest, DispatchPolicy, FailoverPolicy, OffloadRequest,
+    QueueDiscipline, RegionMicrosim, RegionServing, RegionSignal, ScalerState, ScalingSignal,
 };
 pub use device::{Cohort, Device};
 pub use engine::FleetEngine;

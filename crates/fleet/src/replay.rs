@@ -4,9 +4,10 @@
 //! serving tier is **independent**: a [`RegionServing`]/[`RegionMicrosim`]
 //! touches only its own queues, its own backends, and the requests
 //! addressed to it. The engine therefore owns one *replay worker* per
-//! region and, at each epoch barrier, runs all workers — drain → scale →
-//! publish, region-major — either sequentially or fanned out over a
-//! scoped thread pool ([`run_barrier`]).
+//! region — a [`RegionReplay`], fluid or per-request — and, at each epoch
+//! barrier, runs all workers — drain → scale → publish, region-major —
+//! either sequentially or fanned out over a scoped thread pool
+//! ([`run_barrier`]).
 //!
 //! Determinism holds by construction, not by luck:
 //!
@@ -28,12 +29,13 @@
 //!   (`tests/cross_crate_props.rs` pins Sequential vs. Parallel).
 
 use crate::cloud::{
-    CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing, RegionSignal,
+    BackendStats, CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing,
+    RegionSignal,
 };
 use crate::device::Served;
 use crate::engine::ShardEpochOutput;
 use crate::pipeline::PipelinePricing;
-use crate::report::FleetReport;
+use crate::report::{FleetReport, Histogram};
 use crate::scenario::ReplayMode;
 use lens_telemetry::{PhaseCounters, PhaseProbe, TraceEvent};
 
@@ -93,29 +95,102 @@ where
     }
 }
 
-/// The fluid tier's per-region replay worker.
-pub(crate) struct FluidRegionReplay {
-    pub(crate) serving: RegionServing,
-    pub(crate) depth_series: Vec<f64>,
+/// One region's serving tier as the engine's barrier loop drives it. The
+/// two fidelities differ only in how a barrier replays the epoch; the
+/// loop around them is shared.
+pub(crate) trait RegionReplay: Send + Sized {
+    /// Whether the tier resolves individual requests. Such a tier defers
+    /// offloaded records to completion, so the loop also samples its
+    /// running p99, drains it past the horizon ([`flush`]), and merges
+    /// its report partial and sojourn histogram ([`finish`]).
+    ///
+    /// [`flush`]: RegionReplay::flush
+    /// [`finish`]: RegionReplay::finish
+    const RESOLVES_REQUESTS: bool;
+
+    /// A fresh worker. `empty_report` seeds the report partial and
+    /// `pricing` the stage chaining of tiers that resolve requests.
+    fn new(
+        serving: &CloudServing,
+        empty_report: &FleetReport,
+        num_epochs: usize,
+        pricing: Option<&PipelinePricing>,
+    ) -> Self;
+
+    /// One epoch barrier for this region: drain, scale, publish —
+    /// buffering per-phase telemetry instead of writing to a shared sink.
+    /// `last` marks the horizon's final barrier.
+    fn barrier(
+        &mut self,
+        region: usize,
+        shards: &[&ShardEpochOutput],
+        epoch_start: u64,
+        epoch_end: u64,
+        last: bool,
+        traced: bool,
+    ) -> RegionBarrierOutput;
+
+    /// Current backlog (jobs).
+    fn depth(&self) -> f64;
+
+    /// Live slot count per backend.
+    fn live_slots(&self) -> Vec<u64>;
+
+    /// Cumulative per-backend serving stats.
+    fn backend_stats(&self) -> Vec<BackendStats>;
+
+    /// The backlog sampled at each barrier, handed over at the end.
+    fn take_depth_series(&mut self) -> Vec<f64>;
+
+    /// The running p99 cloud sojourn (ms); tiers that resolve requests
+    /// only.
+    fn p99_ms(&self) -> f64 {
+        unreachable!("only tiers that resolve requests track sojourns")
+    }
+
+    /// Post-horizon drain; tiers that resolve requests only.
+    fn flush(&mut self, _region: usize, _probe: &mut PhaseProbe) {
+        unreachable!("only tiers that resolve requests defer work past the horizon")
+    }
+
+    /// The report partial and region sojourn histogram; tiers that resolve
+    /// requests only.
+    fn finish(self) -> (FleetReport, Histogram) {
+        unreachable!("only tiers that resolve requests keep a report partial")
+    }
 }
 
-impl FluidRegionReplay {
-    pub(crate) fn new(serving: &CloudServing, num_epochs: usize) -> Self {
+/// The fluid tier's per-region replay worker.
+pub(crate) struct FluidRegionReplay {
+    serving: RegionServing,
+    depth_series: Vec<f64>,
+}
+
+impl RegionReplay for FluidRegionReplay {
+    const RESOLVES_REQUESTS: bool = false;
+
+    fn new(
+        serving: &CloudServing,
+        _empty_report: &FleetReport,
+        num_epochs: usize,
+        _pricing: Option<&PipelinePricing>,
+    ) -> Self {
         FluidRegionReplay {
             serving: RegionServing::new(serving),
             depth_series: Vec::with_capacity(num_epochs),
         }
     }
 
-    /// One epoch barrier for this region: admit the merged offload
-    /// counts, run the batch-close drain, scale, publish — buffering
-    /// per-phase telemetry instead of writing to a shared sink.
-    pub(crate) fn barrier(
+    /// Admits the merged offload counts (integer sums, so the result is
+    /// independent of the shard count), runs the batch-close drain over
+    /// the epoch's length, scales, publishes.
+    fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
-        epoch_ms: f64,
+        epoch_start: u64,
         epoch_end: u64,
+        _last: bool,
         traced: bool,
     ) -> RegionBarrierOutput {
         let (high, low) = shards
@@ -124,18 +199,35 @@ impl FluidRegionReplay {
             .fold((0, 0), |(h, l), (sh, sl)| (h + sh, l + sl));
         self.serving.admit(high, low);
         self.depth_series.push(self.serving.depth());
+        let epoch_ms = (epoch_end - epoch_start) as f64 / 1000.0;
         let mut probe = region_probe(traced);
         self.serving
-            .drain_probed(epoch_ms, epoch_end, region as u64, &mut probe);
+            .drain(epoch_ms, epoch_end, region as u64, &mut probe);
         let drain = probe.take();
         self.serving
-            .scale_probed(epoch_ms, epoch_end, region as u64, &mut probe);
+            .scale(epoch_ms, epoch_end, region as u64, &mut probe);
         let scale = probe.take();
         RegionBarrierOutput {
             signal: self.serving.publish(),
             drain,
             scale,
         }
+    }
+
+    fn depth(&self) -> f64 {
+        self.serving.depth()
+    }
+
+    fn live_slots(&self) -> Vec<u64> {
+        self.serving.live_slots()
+    }
+
+    fn backend_stats(&self) -> Vec<BackendStats> {
+        self.serving.backend_stats()
+    }
+
+    fn take_depth_series(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.depth_series)
     }
 }
 
@@ -147,9 +239,9 @@ impl FluidRegionReplay {
 /// the microsim, folded incrementally from the per-backend epoch windows
 /// at each barrier.
 pub(crate) struct PerRequestRegionReplay {
-    pub(crate) sim: RegionMicrosim,
-    pub(crate) report: FleetReport,
-    pub(crate) depth_series: Vec<f64>,
+    sim: RegionMicrosim,
+    report: FleetReport,
+    depth_series: Vec<f64>,
     merged: Vec<OffloadRequest>,
     completions: Vec<CompletedRequest>,
     /// Staged-pipeline transfer prices; `None` for monolithic scenarios,
@@ -168,12 +260,14 @@ pub(crate) struct PerRequestRegionReplay {
     pending: Vec<OffloadRequest>,
 }
 
-impl PerRequestRegionReplay {
-    pub(crate) fn new(
+impl RegionReplay for PerRequestRegionReplay {
+    const RESOLVES_REQUESTS: bool = true;
+
+    fn new(
         serving: &CloudServing,
         empty_report: &FleetReport,
         num_epochs: usize,
-        pricing: Option<PipelinePricing>,
+        pricing: Option<&PipelinePricing>,
     ) -> Self {
         PerRequestRegionReplay {
             sim: RegionMicrosim::new(serving),
@@ -181,22 +275,21 @@ impl PerRequestRegionReplay {
             depth_series: Vec::with_capacity(num_epochs),
             merged: Vec::new(),
             completions: Vec::new(),
-            pricing,
+            pricing: pricing.cloned(),
             pending: Vec::new(),
         }
     }
 
-    /// One epoch barrier for this region: k-way merge the shards'
-    /// request runs (joining any chained stage arrivals that came due),
-    /// replay them through the microsim, record the completions —
-    /// spawning next-stage arrivals for staged pipelines — scale,
-    /// publish the (hysteresis-held) tail signal.
+    /// K-way merges the shards' request runs (joining any chained stage
+    /// arrivals that came due), replays them through the microsim,
+    /// records the completions — spawning next-stage arrivals for staged
+    /// pipelines — scales, publishes the (hysteresis-held) tail signal.
     ///
-    /// `last` marks the horizon's final barrier: chains spawned there
-    /// have no later barrier to shift into, so their stamps clamp to
-    /// the horizon end instead — right where the post-horizon flush
-    /// picks them up, keeping the flush waves' timeline monotone.
-    pub(crate) fn barrier(
+    /// Chains spawned at the `last` barrier have no later barrier to
+    /// shift into, so their stamps clamp to the horizon end instead —
+    /// right where the post-horizon flush picks them up, keeping the
+    /// flush waves' timeline monotone.
+    fn barrier(
         &mut self,
         region: usize,
         shards: &[&ShardEpochOutput],
@@ -232,7 +325,7 @@ impl PerRequestRegionReplay {
         }
         probe.on_merged(self.merged.len() as u64);
         self.completions.clear();
-        self.sim.run_epoch_probed(
+        self.sim.run_epoch(
             &self.merged,
             epoch_end,
             &mut self.completions,
@@ -247,7 +340,7 @@ impl PerRequestRegionReplay {
         self.absorb_completions(region, shift_us, floor_us, &mut probe);
         self.depth_series.push(self.sim.depth());
         let drain = probe.take();
-        self.sim.scale_probed(
+        self.sim.scale(
             epoch_end,
             epoch_end - epoch_start,
             region as u64,
@@ -261,6 +354,70 @@ impl PerRequestRegionReplay {
         }
     }
 
+    fn depth(&self) -> f64 {
+        self.sim.depth()
+    }
+
+    fn live_slots(&self) -> Vec<u64> {
+        self.sim.live_slots()
+    }
+
+    fn backend_stats(&self) -> Vec<BackendStats> {
+        self.sim.backend_stats()
+    }
+
+    fn take_depth_series(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.depth_series)
+    }
+
+    fn p99_ms(&self) -> f64 {
+        self.sim.region_sojourn().percentile(99.0)
+    }
+
+    /// Post-horizon drain: the cloud keeps serving until every admitted
+    /// request completes. Runs sequentially on the engine thread (it is
+    /// one final sweep, not per-epoch work). Staged pipelines drain in
+    /// **waves**: each flush can spawn next-stage arrivals, which are
+    /// replayed as a fresh batch and flushed again until no stage is
+    /// left in flight — at most `depth - 1` extra waves, since stage
+    /// numbers only climb.
+    fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
+        loop {
+            self.completions.clear();
+            self.sim.flush(&mut self.completions, region as u64, probe);
+            self.absorb_completions(region, 0, 0, probe);
+            if self.pending.is_empty() {
+                return;
+            }
+            self.merged.clear();
+            self.merged.append(&mut self.pending);
+            self.merged
+                .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
+            let wave_end = self.merged.last().map_or(0, |r| r.arrival_us) + 1;
+            self.completions.clear();
+            // The flush above popped every pending event, but executors
+            // may still be occupied into the future — re-arm their
+            // slot-free wakeups or wave arrivals queued behind them
+            // would never re-dispatch.
+            self.sim.rearm_slot_events(probe);
+            self.sim.run_epoch(
+                &self.merged,
+                wave_end,
+                &mut self.completions,
+                region as u64,
+                probe,
+            );
+            self.absorb_completions(region, 0, 0, probe);
+        }
+    }
+
+    fn finish(mut self) -> (FleetReport, Histogram) {
+        let sojourn = self.sim.take_region_sojourn();
+        (self.report, sojourn)
+    }
+}
+
+impl PerRequestRegionReplay {
     /// Books the batch in `self.completions`: monolithic completions go
     /// straight to the deferred device records; staged completions feed
     /// the per-stage ledger, then either spawn the next stage's arrival
@@ -278,7 +435,9 @@ impl PerRequestRegionReplay {
         probe: &mut PhaseProbe,
     ) {
         let Some(pricing) = &self.pricing else {
-            record_completions(&mut self.report, region, &self.completions);
+            for c in &self.completions {
+                record_completion(&mut self.report, region, c);
+            }
             return;
         };
         let depth = pricing.depth;
@@ -318,48 +477,10 @@ impl PerRequestRegionReplay {
         }
         self.completions = completions;
     }
-
-    /// Post-horizon drain: the cloud keeps serving until every admitted
-    /// request completes. Runs sequentially on the engine thread (it is
-    /// one final sweep, not per-epoch work). Staged pipelines drain in
-    /// **waves**: each flush can spawn next-stage arrivals, which are
-    /// replayed as a fresh batch and flushed again until no stage is
-    /// left in flight — at most `depth - 1` extra waves, since stage
-    /// numbers only climb.
-    pub(crate) fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
-        loop {
-            self.completions.clear();
-            self.sim
-                .flush_probed(&mut self.completions, region as u64, probe);
-            self.absorb_completions(region, 0, 0, probe);
-            if self.pending.is_empty() {
-                return;
-            }
-            self.merged.clear();
-            self.merged.append(&mut self.pending);
-            self.merged
-                .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
-            let wave_end = self.merged.last().map_or(0, |r| r.arrival_us) + 1;
-            self.completions.clear();
-            // The flush above popped every pending event, but executors
-            // may still be occupied into the future — re-arm their
-            // slot-free wakeups or wave arrivals queued behind them
-            // would never re-dispatch.
-            self.sim.rearm_slot_events(probe);
-            self.sim.run_epoch_probed(
-                &self.merged,
-                wave_end,
-                &mut self.completions,
-                region as u64,
-                probe,
-            );
-            self.absorb_completions(region, 0, 0, probe);
-        }
-    }
 }
 
-/// The barrier-thread probe for one region: recording iff tracing.
-fn region_probe(traced: bool) -> PhaseProbe {
+/// A barrier-thread probe: recording iff tracing.
+pub(crate) fn region_probe(traced: bool) -> PhaseProbe {
     if traced {
         PhaseProbe::enabled()
     } else {
@@ -410,21 +531,6 @@ pub(crate) fn merge_requests(
         if runs[best].is_empty() {
             runs.swap_remove(best);
         }
-    }
-}
-
-/// Records a batch of microsim completions: each finishes its deferred
-/// device record (end-to-end latency = device-side latency + exact cloud
-/// sojourn). The sojourn histograms are *not* touched here — the microsim
-/// records each completion once into its backend's epoch window and the
-/// barrier folds those windows into the cumulative histograms.
-pub(crate) fn record_completions(
-    report: &mut FleetReport,
-    serving_region: usize,
-    completions: &[CompletedRequest],
-) {
-    for c in completions {
-        record_completion(report, serving_region, c);
     }
 }
 

@@ -7,7 +7,7 @@
 //! engines given the same scenario produce the same [`crate::FleetReport`]
 //! (see the crate-level determinism contract).
 
-use crate::cloud::{CloudCapacity, CloudServing, CloudSimFidelity};
+use crate::cloud::{CloudServing, CloudSimFidelity};
 use crate::engine::to_us;
 use crate::pipeline::PipelineSpec;
 use crate::FleetError;
@@ -471,7 +471,7 @@ impl Default for FleetScenarioBuilder {
             arrival: ArrivalModel::Periodic {
                 period: Millis::new(60_000.0),
             },
-            serving: CloudServing::from(CloudCapacity::new(64, 8.0)),
+            serving: CloudServing::single(64, 8.0),
             fidelity: CloudSimFidelity::Fluid,
             policy: FleetPolicy::Dynamic,
             metric: Metric::Energy,
@@ -517,15 +517,6 @@ impl FleetScenarioBuilder {
     /// Sets the arrival model.
     pub fn arrival(mut self, arrival: ArrivalModel) -> Self {
         self.arrival = arrival;
-        self
-    }
-
-    /// Sets the per-region cloud to a single unbatched backend with the
-    /// given capacity (the PR 2 fluid-queue model). For heterogeneous
-    /// backends, batching, admission control, or failover, use
-    /// [`serving`](FleetScenarioBuilder::serving).
-    pub fn cloud(mut self, cloud: CloudCapacity) -> Self {
-        self.serving = CloudServing::from(cloud);
         self
     }
 

@@ -41,10 +41,10 @@ impl PhaseCounters {
 
 /// The per-phase accumulator threaded through the engine's hot paths.
 ///
-/// A probe is either enabled (traced run) or disabled (plain run). Every
-/// method is `#[inline]` and gates on the flag first, so the disabled
-/// probe that the untraced wrappers pass down costs one predictable
-/// branch. The probe is a concrete type — not a generic parameter — so
+/// A probe is either enabled (traced run) or disabled (plain run, or a
+/// direct caller of a tier phase method that wants no telemetry). Every
+/// method is `#[inline]` and gates on the flag first, so a disabled probe
+/// costs one predictable branch. The probe is a concrete type — not a generic parameter — so
 /// `cloud.rs` and `device.rs` stay monomorphization-free.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PhaseProbe {

@@ -5,14 +5,16 @@
 //! engine self-consistent but would pass a change that moves every run the
 //! same way (a shard-layout bug present at every shard count, say). These
 //! pins record the `FleetReport::digest`, the flight-recorder
-//! `trace_digest` and the per-epoch `metrics_digest` of four small
+//! `trace_digest` and the per-epoch `metrics_digest` of five small
 //! scenarios, each run at one and at three shards:
 //!
 //! * periodic arrivals, fluid serving tier;
 //! * periodic arrivals, per-request microsim;
 //! * Poisson arrivals, per-request microsim, with about one device per µs
 //!   of mean inter-arrival so same-µs arrivals are common;
-//! * an autoscaled, flash-crowd-driven tier serving 3-stage pipelines.
+//! * an autoscaled, flash-crowd-driven tier serving 3-stage pipelines, in
+//!   both fidelities — the fluid run is the only absolute pin on fluid
+//!   scale/publish, curve telemetry and fluid pipeline pricing.
 //!
 //! A moved digest is a behaviour change to explain, not a pin to
 //! re-record.
@@ -87,7 +89,7 @@ fn poisson(shards: usize) -> FleetScenario {
 
 /// A 30-minute flash crowd on an autoscaled tier (tail-latency and
 /// queue-depth signals) serving 3-stage pipelines under a tail deadline.
-fn crowd_pipeline(shards: usize) -> FleetScenario {
+fn crowd_pipeline(shards: usize, fidelity: CloudSimFidelity) -> FleetScenario {
     let horizon_ms = 1_800_000.0;
     let serving = CloudServing::new(vec![
         BackendConfig::new("gpu", 1, 50.0, 0.25)
@@ -122,7 +124,7 @@ fn crowd_pipeline(shards: usize) -> FleetScenario {
         .metric(Metric::Latency)
         .seed(41)
         .shards(shards)
-        .fidelity(CloudSimFidelity::PerRequest)
+        .fidelity(fidelity)
         .workload(WorkloadCurve::flash_crowd(
             Millis::new(0.3 * horizon_ms),
             Millis::new(0.2 * horizon_ms),
@@ -217,11 +219,30 @@ fn poisson_per_request_run_with_same_microsecond_arrivals_is_pinned() {
 fn autoscaled_flash_crowd_pipeline_run_is_pinned() {
     check(
         "crowd pipeline",
-        crowd_pipeline,
+        |shards| crowd_pipeline(shards, CloudSimFidelity::PerRequest),
         (
             0xd6bf_89c9_40b6_2908,
             0x24ba_993a_4870_87ec,
             0x8cac_dcfb_c3d4_8220,
         ),
     );
+}
+
+#[test]
+fn autoscaled_flash_crowd_pipeline_fluid_run_is_pinned() {
+    check(
+        "crowd pipeline fluid",
+        |shards| crowd_pipeline(shards, CloudSimFidelity::Fluid),
+        (
+            0x58f0_763c_33bc_b24c,
+            0xdea0_db94_cf35_d8b2,
+            0x0fb7_91e1_a943_405a,
+        ),
+    );
+    // The pin covers fluid scale/publish only if the tier really scales.
+    let report = FleetEngine::new(crowd_pipeline(1, CloudSimFidelity::Fluid))
+        .expect("engine builds")
+        .run()
+        .expect("run succeeds");
+    assert!(report.scaling_events() > 0, "the fluid crowd never scaled");
 }

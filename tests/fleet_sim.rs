@@ -9,7 +9,7 @@ fn congested(population: usize, policy: FleetPolicy, metric: Metric, shards: usi
         .population(population)
         .horizon(Millis::new(1_200_000.0)) // 20 minutes
         .trace_interval(Millis::new(60_000.0))
-        .cloud(CloudCapacity::new(2, 250.0)) // 480 inferences/min drain
+        .serving(CloudServing::single(2, 250.0)) // 480 inferences/min drain
         .policy(policy)
         .metric(metric)
         .seed(7)
@@ -287,12 +287,12 @@ fn telemetry_does_not_perturb_the_run() {
 /// while only the per-request run exposes a tail.
 #[test]
 fn fluid_vs_per_request_cross_check() {
-    let run = |fidelity: CloudSimFidelity, cloud: CloudCapacity| {
+    let run = |fidelity: CloudSimFidelity, cloud: CloudServing| {
         let scenario = FleetScenario::builder()
             .population(1500)
             .horizon(Millis::new(1_200_000.0)) // 20 minutes
             .trace_interval(Millis::new(60_000.0))
-            .cloud(cloud)
+            .serving(cloud)
             .policy(FleetPolicy::Dynamic)
             .metric(Metric::Energy)
             .seed(7)
@@ -310,7 +310,7 @@ fn fluid_vs_per_request_cross_check() {
     // is ~0 and the discrete sojourn is essentially the 8 ms service
     // time, so the means must sit within one single-item service time of
     // each other.
-    let calm_cloud = || CloudCapacity::new(64, 8.0);
+    let calm_cloud = || CloudServing::single(64, 8.0);
     let calm_fluid = run(CloudSimFidelity::Fluid, calm_cloud());
     let calm_discrete = run(CloudSimFidelity::PerRequest, calm_cloud());
     assert_eq!(
@@ -325,7 +325,7 @@ fn fluid_vs_per_request_cross_check() {
     );
 
     // Congested cross-check: 1500 devices against a 480/min drain.
-    let hot_cloud = || CloudCapacity::new(2, 250.0);
+    let hot_cloud = || CloudServing::single(2, 250.0);
     let fluid = run(CloudSimFidelity::Fluid, hot_cloud());
     let discrete = run(CloudSimFidelity::PerRequest, hot_cloud());
 

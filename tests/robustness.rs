@@ -239,3 +239,47 @@ fn oversized_fleet_layouts_are_rejected_not_truncated() {
         .expect("run succeeds");
     assert_eq!(report.inferences(), 6);
 }
+
+/// Serving tiers whose backends or discipline were set through public
+/// fields to values the constructors reject are themselves rejected with
+/// `Err` at build time, in both fidelities — instead of panicking inside
+/// the per-request replay (zero slots) or silently running on a NaN
+/// service time or an impossible priority fraction.
+#[test]
+fn broken_serving_tiers_are_rejected_in_both_fidelities() {
+    let zero_slots = {
+        let mut tier = CloudServing::single(4, 10.0);
+        tier.backends[0].slots = 0;
+        tier
+    };
+    let nan_service = {
+        let mut tier = CloudServing::single(4, 10.0);
+        tier.backends[0].base_service_ms = f64::NAN;
+        tier
+    };
+    let bad_priority = {
+        let mut tier = CloudServing::single(4, 10.0);
+        tier.discipline = QueueDiscipline::Priority { high_fraction: 7.0 };
+        tier
+    };
+    for fidelity in [CloudSimFidelity::Fluid, CloudSimFidelity::PerRequest] {
+        for (tier, needle) in [
+            (&zero_slots, "slot"),
+            (&nan_service, "base_service_ms"),
+            (&bad_priority, "high_fraction"),
+        ] {
+            let built = FleetScenario::builder()
+                .population(50)
+                .horizon(Millis::new(120_000.0))
+                .serving(tier.clone())
+                .fidelity(fidelity)
+                .build();
+            match built {
+                Err(lens::fleet::FleetError::InvalidScenario(why)) => {
+                    assert!(why.contains(needle), "{fidelity:?}: {why}")
+                }
+                other => panic!("{fidelity:?}: expected InvalidScenario({needle}), got {other:?}"),
+            }
+        }
+    }
+}

@@ -1034,6 +1034,17 @@ fn fleet_pin_surface_is_pinned() {
     );
 }
 
+/// The benchmark crate lives outside the workspace, so only this CI step
+/// compiles it: a public-API change that breaks it fails the build job.
+#[test]
+fn benchmark_crate_is_built_in_ci() {
+    let ci = fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).expect("ci.yml");
+    assert!(
+        ci.contains("cargo build --release --locked --manifest-path lensbench/Cargo.toml"),
+        "CI must build lensbench/"
+    );
+}
+
 /// Anti-drift pin for the README's workspace inventory: every crate
 /// directory and every example file must be mentioned by name. A new
 /// crate or example that skips the README fails here instead of rotting
