@@ -1,14 +1,14 @@
 //! Per-device sessions and the cohorts that share design-time artifacts.
 //!
 //! Every device composes an online [`ThroughputTracker`] and a deployment
-//! policy over its cohort's shared [`DominanceMap`]; its synthesized
-//! throughput trajectory (a `ThroughputTrace` drawn from the device's
-//! seed) is written once into the engine's epoch-major sample arena and
-//! fed to `Device::serve` one sample per event. A [`Cohort`] is one
-//! (region, technology) cell of the scenario mix: all its devices see the
-//! same deployment options and dominance structure (those depend only on
-//! the network, hardware, and radio technology), while each device wanders
-//! through its own throughput trajectory.
+//! policy over its cohort's shared [`DominanceMap`]; its throughput
+//! trajectory (a `GaussMarkovStream` drawn from the device's seed) is
+//! stepped by the engine once per epoch and fed to `Device::serve` one
+//! sample per event. A [`Cohort`] is one (region, technology) cell of the
+//! scenario mix: all its devices see the same deployment options and
+//! dominance structure (those depend only on the network, hardware, and
+//! radio technology), while each device wanders through its own
+//! throughput trajectory.
 //!
 //! Devices also implement the *execution side* of admission control: when
 //! their region's published [`RegionSignal`] carries a non-zero shed
@@ -200,8 +200,8 @@ const RETREAT_SALT: u64 = 0x7A11_BAC0;
 /// tail recovering instead of abandoning the region forever.
 const RETREAT_REPROBE_DIV: u64 = 16;
 
-/// One device session: tracker + policy state. Its throughput samples
-/// live in the engine's epoch-major arena, not in the device.
+/// One device session: tracker + policy state. Its uplink process lives
+/// in the engine's shard, not in the device.
 #[derive(Debug, Clone)]
 pub struct Device {
     /// The stable, shard-count-invariant device id.

@@ -6,9 +6,9 @@
 //! into contiguous id ranges, one shard each. A shard stores its devices
 //! in firing order (`ShardState` below), owns an event queue keyed by
 //! integer microseconds (an O(1) sorted ring under periodic arrivals, a
-//! binary heap under Poisson — `EventQueue` below) plus an epoch-major
-//! arena that holds the only copy of its devices' throughput samples, and
-//! shards synchronize with the shared cloud only at epoch barriers (see
+//! binary heap under Poisson — `EventQueue` below) plus its devices'
+//! uplink processes, stepped once per epoch into one reusable sample row,
+//! and shards synchronize with the shared cloud only at epoch barriers (see
 //! the crate-level docs for the determinism contract and the one-epoch
 //! contention lag). Under periodic arrivals the shard step therefore
 //! streams the device array and the epoch's sample row front to back.
@@ -46,7 +46,7 @@ use lens_telemetry::{
     BarrierPhase, EngineProfile, FlightRecorder, MetricsRegistry, NullSink, PhaseCounters,
     PhaseProbe, RunTelemetry, SeriesId, Sink, TraceEvent, METRIC_FP_SCALE,
 };
-use lens_wireless::{ThroughputTrace, WirelessLink};
+use lens_wireless::{GaussMarkov, GaussMarkovStream, WirelessLink};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -75,7 +75,7 @@ pub struct FleetEngine {
 /// periods. `build_shards` sorts the shard by `(phase, id)` and gives
 /// local index `l` to the `l`-th device of that order, so every period's
 /// ring pops visit locals `0, 1, …, n−1` in turn: the device array and
-/// each epoch's sample row are read front to back instead of at random.
+/// the epoch's sample row are read front to back instead of at random.
 /// Devices that fire in the same µs share a phase, so they keep ascending
 /// id order — the pop sequence of `(time, device id)` is exactly the one
 /// an id-ordered layout produces.
@@ -90,11 +90,10 @@ struct ShardState {
     devices: Vec<Device>,
     /// Pending events keyed by (event time µs, local device index).
     queue: EventQueue,
-    /// Epoch-major throughput-sample arena: `samples[e * n + local]` is
-    /// device `local`'s sample for epoch `e`, so all of one epoch's reads
-    /// land in a single contiguous row, read in order under periodic
-    /// arrivals. It is the only copy of the samples.
-    samples: Vec<Mbps>,
+    /// Each device's uplink process by local index.
+    links: Vec<GaussMarkovStream>,
+    /// This epoch's sample per local index, refilled from `links` each epoch.
+    row: Vec<Mbps>,
     report: FleetReport,
     /// Reusable per-epoch scratch, cleared and refilled in place by
     /// `advance_shard` so the request/event buffers stay warm.
@@ -327,8 +326,8 @@ impl FleetEngine {
     }
 
     /// Builds device `device_id` and returns it with its first event time
-    /// and its synthesized throughput trace (one sample per epoch).
-    fn build_device(&self, device_id: usize, num_samples: usize) -> (Device, u64, ThroughputTrace) {
+    /// and its uplink process (one sample per epoch).
+    fn build_device(&self, device_id: usize) -> (Device, u64, GaussMarkovStream) {
         let scenario = &self.scenario;
         let cohort_idx = self.cohort_of(device_id);
         let cohort = &self.cohorts[cohort_idx];
@@ -339,13 +338,8 @@ impl FleetEngine {
                 (mix_seed(dseed, 0xF00D) as f64 / u64::MAX as f64) < high_fraction
             }
         };
-        let trace = ThroughputTrace::synthesize(
-            &cohort.region,
-            cohort.technology,
-            num_samples,
-            scenario.trace_interval,
-            mix_seed(dseed, 1),
-        );
+        let link = GaussMarkov::for_technology(cohort.region.uplink(), cohort.technology)
+            .stream(mix_seed(dseed, 1));
         let mut device = Device::new(
             device_id as u64,
             cohort_idx as u32,
@@ -361,7 +355,7 @@ impl FleetEngine {
                 device.draw_interarrival_us(mean_interarrival.get() * 1000.0)
             }
         };
-        (device, first_event_us, trace)
+        (device, first_event_us, link)
     }
 
     /// Runs the scenario to completion and returns the merged report,
@@ -444,7 +438,7 @@ impl FleetEngine {
         // Build shards; each constructs its own contiguous slice of the
         // population (device state depends only on the device id and the
         // scenario seed, never on the shard).
-        let mut shard_states = self.build_shards(num_epochs);
+        let mut shard_states = self.build_shards();
         let pricing = self.pipeline_pricing();
 
         let parallel = replay_in_parallel(scenario.replay(), num_regions);
@@ -492,7 +486,6 @@ impl FleetEngine {
                 &mut shard_states,
                 &signals,
                 pricing.as_ref(),
-                epoch,
                 epoch_end,
                 S::ENABLED,
             );
@@ -693,7 +686,6 @@ impl FleetEngine {
         shard_states: &mut [ShardState],
         signals: &[RegionSignal],
         pricing: Option<&PipelinePricing>,
-        epoch_index: usize,
         epoch_end: u64,
         trace: bool,
     ) {
@@ -726,7 +718,6 @@ impl FleetEngine {
                 ctx,
                 signals,
                 num_regions,
-                epoch_index,
                 epoch_end,
                 horizon_us,
                 step,
@@ -743,7 +734,6 @@ impl FleetEngine {
                         ctx,
                         signals,
                         num_regions,
-                        epoch_index,
                         epoch_end,
                         horizon_us,
                         step,
@@ -754,7 +744,7 @@ impl FleetEngine {
         });
     }
 
-    fn build_shards(&self, num_samples: usize) -> Vec<ShardState> {
+    fn build_shards(&self) -> Vec<ShardState> {
         let scenario = &self.scenario;
         let region_names = scenario.region_names();
         let num_regions = scenario.regions.len();
@@ -768,26 +758,20 @@ impl FleetEngine {
                         let n = hi - lo;
                         let mut devices = Vec::with_capacity(n);
                         let mut seeds = Vec::with_capacity(n);
-                        // Epoch-major sample arena: row `e` holds every
-                        // device's sample for epoch `e`, contiguously, in
-                        // layout order. Each device overwrites its own
-                        // column below, so the fill value is never read.
-                        let mut samples = vec![Mbps::new(1.0); num_samples * n];
+                        let mut links = Vec::with_capacity(n);
                         for (local, id) in self.shard_layout(lo, hi).into_iter().enumerate() {
-                            let (device, first_event_us, trace) =
-                                self.build_device(id, num_samples);
-                            for (epoch, &sample) in trace.samples().iter().enumerate() {
-                                samples[epoch * n + local] = sample;
-                            }
+                            let (device, first_event_us, link) = self.build_device(id);
                             let local = u32::try_from(local)
                                 .expect("scenario validation bounds the shard size to u32");
                             seeds.push((first_event_us, local));
                             devices.push(device);
+                            links.push(link);
                         }
                         ShardState {
                             devices,
                             queue: EventQueue::new(&scenario.arrival, seeds),
-                            samples,
+                            links,
+                            row: Vec::with_capacity(n),
                             report: FleetReport::empty(
                                 LATENCY_BIN_MS,
                                 ENERGY_BIN_MJ,
@@ -1010,7 +994,6 @@ fn advance_shard(
     ctx: ServeContext<'_>,
     signals: &[RegionSignal],
     num_regions: usize,
-    epoch_index: usize,
     epoch_end: u64,
     horizon_us: u64,
     step: ArrivalStep,
@@ -1020,7 +1003,8 @@ fn advance_shard(
     let ShardState {
         devices,
         queue,
-        samples,
+        links,
+        row,
         report,
         epoch: output,
     } = state;
@@ -1031,12 +1015,11 @@ fn advance_shard(
     }
     output.events.clear();
     output.counters = PhaseCounters::default();
-    let n = devices.len();
-    // Every event in this epoch reads the same trace-sample row: the
-    // sample index is `time_us / interval_us`, the interval *is* the
-    // epoch length, and the queue never holds an event before the
-    // current epoch — so the division is loop-invariant.
-    let row = &samples[epoch_index * n..(epoch_index + 1) * n];
+    // Every event of this epoch reads sample `time_us / interval_us`, which
+    // is this epoch's: the interval *is* the epoch length and the queue
+    // holds no earlier event. So each link steps once per epoch, fired or not.
+    row.clear();
+    row.extend(links.iter_mut().map(GaussMarkovStream::next_sample));
     while let Some((time, local)) = queue.pop_before(epoch_end) {
         if trace {
             output.counters.events_popped += 1;
@@ -1117,7 +1100,7 @@ mod tests {
     use crate::scenario::RegionShare;
     use lens_nn::units::{Mbps, Millis};
     use lens_runtime::{DeploymentKind, Metric};
-    use lens_wireless::{Region, WirelessTechnology};
+    use lens_wireless::{Region, ThroughputTrace, WirelessTechnology};
 
     fn small_scenario(shards: usize) -> FleetScenario {
         FleetScenario::builder()
@@ -1640,7 +1623,7 @@ mod tests {
         // 300 devices over 3 shards, one-minute period = one epoch.
         let engine = FleetEngine::new(small_scenario(3)).unwrap();
         let period_us = 60_000_000u64;
-        let mut shards = engine.build_shards(10);
+        let mut shards = engine.build_shards();
         for (state, (lo, hi)) in shards.iter_mut().zip(shard_bounds(300, 3)) {
             let n = hi - lo;
             let range: Vec<u64> = (lo as u64..hi as u64).collect();
@@ -1649,9 +1632,10 @@ mod tests {
             let mut sorted = ids.clone();
             sorted.sort_unstable();
             assert_eq!(sorted, range, "the layout is a permutation of lo..hi");
-            // The samples moved with their device: column `local` of the
-            // arena is device `ids[local]`'s synthesized trace.
-            for (local, &id) in ids.iter().enumerate() {
+            // The samples moved with their device: stepping link `local`
+            // for 10 epochs reproduces device `ids[local]`'s synthesized
+            // trace.
+            for (link, &id) in state.links.iter_mut().zip(&ids) {
                 let cohort = &engine.cohorts()[engine.cohort_of(id as usize)];
                 let dseed = mix_seed(engine.scenario().seed, id);
                 let trace = ThroughputTrace::synthesize(
@@ -1661,8 +1645,8 @@ mod tests {
                     engine.scenario().trace_interval,
                     mix_seed(dseed, 1),
                 );
-                for (epoch, &sample) in trace.samples().iter().enumerate() {
-                    assert_eq!(state.samples[epoch * n + local], sample);
+                for &sample in trace.samples() {
+                    assert_eq!(link.next_sample(), sample);
                 }
             }
             // Every period pops locals 0, 1, …, n−1 in turn.
@@ -1690,7 +1674,7 @@ mod tests {
             .build()
             .unwrap();
         let engine = FleetEngine::new(scenario).unwrap();
-        let shards = engine.build_shards(10);
+        let shards = engine.build_shards();
         for (state, (lo, hi)) in shards.iter().zip(shard_bounds(300, 3)) {
             assert_eq!(
                 layout_ids(state),

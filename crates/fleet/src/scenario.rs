@@ -631,9 +631,8 @@ impl FleetScenarioBuilder {
     /// Returns [`FleetError::InvalidScenario`] when the description is
     /// contradictory (zero population, empty/non-positive mixes, zero
     /// horizon, out-of-range tracker alpha, more shards than devices, …)
-    /// or too large for the engine's layout (a shard beyond the `u32`
-    /// local-index range, or an `epochs × shard size` sample arena beyond
-    /// the largest allocation).
+    /// or too large for the engine (a shard beyond the `u32` local-index
+    /// range, or more than `u32::MAX` epochs).
     pub fn build(self) -> Result<FleetScenario, FleetError> {
         let invalid = |why: &str| Err(FleetError::InvalidScenario(why.to_string()));
         if self.population == 0 {
@@ -680,23 +679,15 @@ impl FleetScenarioBuilder {
         if self.shards > self.population {
             return invalid("more shards than devices");
         }
-        // The engine indexes a shard's devices with `u32` and keeps their
-        // throughput samples in one `epochs × shard size` arena: reject
-        // sizes those cannot hold instead of truncating an index or
-        // overflowing the allocation.
-        let shard_len = self.population.div_ceil(self.shards);
-        if u32::try_from(shard_len).is_err() {
+        // The engine indexes a shard's devices with `u32` and allocates the
+        // report's O(regions × epochs) queue depth and wait series up front:
+        // reject sizes those cannot hold instead of truncating or overflowing.
+        if u32::try_from(self.population.div_ceil(self.shards)).is_err() {
             return invalid("a shard holds at most u32::MAX devices; use more shards");
         }
         let epochs = to_us(self.horizon.get()).div_ceil(to_us(self.trace_interval.get()));
-        let arena_bytes = usize::try_from(epochs)
-            .ok()
-            .and_then(|epochs| epochs.checked_mul(shard_len))
-            .and_then(|len| len.checked_mul(std::mem::size_of::<Mbps>()));
-        if arena_bytes.is_none_or(|bytes| bytes > isize::MAX as usize) {
-            return invalid(
-                "epochs × shard size overflows the throughput-sample arena; use more shards or a longer trace interval",
-            );
+        if epochs > u64::from(u32::MAX) {
+            return invalid("a run spans at most u32::MAX epochs; use a longer trace interval");
         }
         if let Err(why) = self.serving.validate() {
             return invalid(&why);

@@ -76,7 +76,7 @@ pub mod transfer;
 pub use link::WirelessLink;
 pub use region::Region;
 pub use technology::{UplinkPowerModel, WirelessTechnology};
-pub use trace::{GaussMarkov, ThroughputTrace, TraceGenerator};
+pub use trace::{GaussMarkov, GaussMarkovStream, ThroughputTrace, TraceGenerator};
 pub use transfer::TransferModel;
 
 use std::error::Error;

@@ -376,25 +376,51 @@ impl GaussMarkov {
         Mbps::new((0.01 * self.mean.get()).max(0.05))
     }
 
-    /// Generates a trace deterministically from `seed`.
+    /// Generates a trace deterministically from `seed`: the first
+    /// `num_samples` samples of [`stream`](Self::stream)`(seed)`.
     pub fn generate(&self, seed: u64) -> ThroughputTrace {
+        let mut stream = self.stream(seed);
+        let samples = (0..self.num_samples).map(|_| stream.next_sample());
+        ThroughputTrace::new(samples.collect(), self.interval).expect("num_samples is positive")
+    }
+
+    /// Streams [`generate`](Self::generate)`(seed)`'s samples one at a
+    /// time, bit for bit and without end, in O(1) memory.
+    pub fn stream(&self, seed: u64) -> GaussMarkovStream {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mean = self.mean.get();
-        let floor = self.floor().get();
         // Start from the stationary distribution so short traces are not
         // biased toward the mean.
-        let mut x = mean + self.sigma * dist::standard_normal(&mut rng);
-        let innovation_scale = self.sigma * (1.0 - self.ar_coefficient.powi(2)).sqrt();
-        let samples = (0..self.num_samples)
-            .map(|_| {
-                let sample = x.max(floor);
-                x = mean
-                    + self.ar_coefficient * (x - mean)
-                    + innovation_scale * dist::standard_normal(&mut rng);
-                Mbps::new(sample)
-            })
-            .collect();
-        ThroughputTrace::new(samples, self.interval).expect("generator produces >=1 sample")
+        let x = self.mean.get() + self.sigma * dist::standard_normal(&mut rng);
+        GaussMarkovStream {
+            rng,
+            x,
+            mean: self.mean.get(),
+            floor: self.floor().get(),
+            ar_coefficient: self.ar_coefficient,
+            innovation_scale: self.sigma * (1.0 - self.ar_coefficient.powi(2)).sqrt(),
+        }
+    }
+}
+
+/// A seeded [`GaussMarkov`] process, drawn one sample at a time.
+#[derive(Debug, Clone)]
+pub struct GaussMarkovStream {
+    rng: StdRng,
+    x: f64,
+    mean: f64,
+    floor: f64,
+    ar_coefficient: f64,
+    innovation_scale: f64,
+}
+
+impl GaussMarkovStream {
+    /// The next sample, clamped to the generator's floor.
+    pub fn next_sample(&mut self) -> Mbps {
+        let sample = self.x.max(self.floor);
+        self.x = self.mean
+            + self.ar_coefficient * (self.x - self.mean)
+            + self.innovation_scale * dist::standard_normal(&mut self.rng);
+        Mbps::new(sample)
     }
 }
 
@@ -531,6 +557,31 @@ mod tests {
     }
 
     #[test]
+    fn synthesize_matches_recorded_samples() {
+        use WirelessTechnology::{Lte, ThreeG, Wifi};
+        // `f64::to_bits` of the first and last of 144 samples, recorded
+        // before `generate` was rewritten over `stream`: the rewrite must
+        // not move a single bit of the fleet's throughput inputs.
+        let usa = Region::new("USA", Mbps::new(7.5));
+        let golden = [
+            (Wifi, 1, 0x401df275d4ba4886, 0x401f5022a9de48c9),
+            (Wifi, 42, 0x401cca9076a52176, 0x401f1c76a542ce46),
+            (Wifi, 0xDEAD_BEEF, 0x4021ad809ed9201b, 0x401bafc37bc67152),
+            (Lte, 1, 0x401de06845b2a93a, 0x4020b4f9e26d1fd6),
+            (Lte, 42, 0x401b2dfbbf814e13, 0x4020b2c5edb5e759),
+            (Lte, 0xDEAD_BEEF, 0x40253f8172a54ae9, 0x401debfa17a4d034),
+            (ThreeG, 1, 0x401dce5ab6ab09ed, 0x4020b1b07f4567ea),
+            (ThreeG, 42, 0x40199167085d7ab0, 0x4022f981fda06372),
+            (ThreeG, 0xDEAD_BEEF, 0x4028d182467175b8, 0x40221f9679db321a),
+        ];
+        for (tech, seed, first, last) in golden {
+            let t = ThroughputTrace::synthesize(&usa, tech, 144, Millis::new(600_000.0), seed);
+            let bits = |i: usize| t.samples()[i].get().to_bits();
+            assert_eq!((bits(0), bits(143)), (first, last), "{tech:?} seed {seed}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "sigma must be non-negative")]
     fn gauss_markov_rejects_negative_sigma() {
         GaussMarkov::new(Mbps::new(5.0), -1.0, 0.5, 10, Millis::new(1000.0));
@@ -561,6 +612,22 @@ mod tests {
             let t = g.generate(seed);
             for s in t.samples() {
                 prop_assert!(*s >= floor, "sample {s} below floor {floor}");
+            }
+        }
+
+        /// A stream yields its seed's generated trace bit for bit.
+        #[test]
+        fn prop_stream_matches_generate(
+            seed in 0u64..u64::MAX,
+            mean in 0.1f64..60.0,
+            tech_idx in 0usize..3,
+            len in 1usize..200,
+        ) {
+            let tech = WirelessTechnology::all()[tech_idx];
+            let g = GaussMarkov::for_technology(Mbps::new(mean), tech).with_samples(len);
+            let mut stream = g.stream(seed);
+            for s in g.generate(seed).samples() {
+                prop_assert_eq!(stream.next_sample().get().to_bits(), s.get().to_bits());
             }
         }
     }

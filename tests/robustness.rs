@@ -183,10 +183,9 @@ fn all_three_estimator_backends_agree_on_contract() {
     }
 }
 
-/// Fleet scenarios too large for the engine's shard layout are rejected
-/// with `Err` at build time: a shard beyond the `u32` local-index range,
-/// and an `epochs × shard size` sample arena beyond the largest
-/// allocation. The oversized population split over more shards is
+/// Fleet scenarios too large for the engine are rejected with `Err` at
+/// build time: a shard beyond the `u32` local-index range, and more than
+/// `u32::MAX` epochs. The oversized population split over more shards is
 /// accepted, and an accepted edge case runs.
 #[test]
 fn oversized_fleet_layouts_are_rejected_not_truncated() {
@@ -209,18 +208,22 @@ fn oversized_fleet_layouts_are_rejected_not_truncated() {
         .shards(2)
         .build()
         .is_ok());
-    // 10 devices × one epoch per µs of an astronomically long horizon
-    // overflows the sample arena's size…
+    // One epoch per µs of an astronomically long horizon overflows the
+    // epoch bound…
     let endless = || {
         FleetScenario::builder()
             .population(10)
             .horizon(Millis::new(1e300))
             .trace_interval(Millis::new(0.001))
     };
-    rejected(endless(), "arena");
-    // …and so does one whose byte size fits in a u64 but exceeds the
-    // largest allocation (2·10¹⁷ epochs × 10 devices × 8 B > isize::MAX).
-    rejected(endless().horizon(Millis::new(2e14)), "arena");
+    rejected(endless(), "u32::MAX epochs");
+    // …and so does one whose epoch count fits in a u64 but not a u32
+    // (2·10¹⁷ epochs).
+    rejected(endless().horizon(Millis::new(2e14)), "u32::MAX epochs");
+    // The bound is exact: u32::MAX one-µs epochs build, one more does not.
+    let epochs = |n: u64| endless().horizon(Millis::new(n as f64 / 1000.0));
+    assert!(epochs(u64::from(u32::MAX)).build().is_ok());
+    rejected(epochs(u64::from(u32::MAX) + 1), "u32::MAX epochs");
     // An accepted edge case — one device per shard, a single short
     // epoch — runs to completion.
     let scenario = FleetScenario::builder()

@@ -3,10 +3,23 @@
 //! facade, and the four criterion benches must be wired with
 //! `harness = false`. A new crate or test file that is silently left out of
 //! the workspace would otherwise never be compiled by CI.
+//!
+//! Each subsystem's named surface (docs sections, facade re-exports, bench
+//! and gate entries, CI steps) is pinned by a table of `(file, needles,
+//! why)` rows that `check_pins` walks; the structural checks — workspace
+//! globs, registrations, bench harnesses, README coverage — stay as code.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
+
+const CI: &str = ".github/workflows/ci.yml";
+const BENCH_GATE: &str = "crates/bench/src/bin/bench_gate.rs";
+const ANALYZER_RULES: &str = "crates/analyzer/src/rules.rs";
+
+/// One prose pin: the file (relative to the repo root) must contain every
+/// needle, or the check fails with the reason.
+type Pin = (&'static str, &'static [&'static str], &'static str);
 
 fn repo_root() -> PathBuf {
     // This test is registered on the `lens` facade at crates/lens, so the
@@ -23,6 +36,35 @@ fn list_dir(dir: &Path) -> Vec<PathBuf> {
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", dir.display()))
         .map(|entry| entry.expect("dir entry").path())
         .collect()
+}
+
+/// Reads a file relative to the repo root.
+fn read(path: &str) -> String {
+    fs::read_to_string(repo_root().join(path)).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Checks every needle of every pin, reading each file once.
+fn check_pins(pins: &[Pin]) {
+    let mut files = BTreeMap::new();
+    for &(file, needles, why) in pins {
+        let body = files.entry(file).or_insert_with(|| read(file));
+        for needle in needles {
+            assert!(body.contains(needle), "{file} lacks {needle:?}: {why}");
+        }
+    }
+}
+
+/// Asserts that the `"section"` object of a bench baseline JSON (up to its
+/// first closing brace) carries every key the gate reads.
+fn assert_baseline_section(file: &str, section: &str, keys: &[&str]) {
+    let json = read(file);
+    let at = json
+        .find(&format!("\"{section}\""))
+        .unwrap_or_else(|| panic!("{file} missing {section}"));
+    let body = &json[at..at + json[at..].find('}').unwrap()];
+    for key in keys {
+        assert!(body.contains(key), "{file} {section} must record {key}");
+    }
 }
 
 #[test]
@@ -152,100 +194,33 @@ fn criterion_benches_are_registered_without_default_harness() {
 /// fails loudly rather than silently shrinking coverage.
 #[test]
 fn fleet_subsystem_is_fully_registered() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    let root_manifest = read("Cargo.toml");
-    assert!(
-        root_manifest.contains("lens-fleet = { path = \"crates/fleet\""),
-        "[workspace.dependencies] must carry lens-fleet"
-    );
-
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("lens-fleet = { workspace = true }"),
-        "the facade must depend on lens-fleet"
-    );
-    assert!(
-        facade_manifest.contains("path = \"../../examples/fleet_scaleout.rs\""),
-        "fleet_scaleout example must be registered on the facade"
-    );
-    assert!(
-        facade_manifest.contains("path = \"../../tests/fleet_sim.rs\""),
-        "fleet_sim test must be registered on the facade"
-    );
-
-    let facade_lib = read("crates/lens/src/lib.rs");
-    assert!(
-        facade_lib.contains("pub use lens_fleet as fleet;"),
-        "the facade must re-export lens-fleet"
-    );
-
-    let bench_manifest = read("crates/bench/Cargo.toml");
-    assert!(
-        bench_manifest.contains("name = \"fleet_step\""),
-        "fleet_step bench must be registered"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("Cargo.toml", &["lens-fleet = { path = \"crates/fleet\""], "[workspace.dependencies] must carry lens-fleet"),
+        ("crates/lens/Cargo.toml", &["lens-fleet = { workspace = true }"], "the facade must depend on lens-fleet"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/fleet_scaleout.rs\""], "fleet_scaleout example must be registered on the facade"),
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/fleet_sim.rs\""], "fleet_sim test must be registered on the facade"),
+        ("crates/lens/src/lib.rs", &["pub use lens_fleet as fleet;"], "the facade must re-export lens-fleet"),
+        ("crates/bench/Cargo.toml", &["name = \"fleet_step\""], "fleet_step bench must be registered"),
+    ];
+    check_pins(PINS);
 }
 
 /// Pins the batched-serving-tier surface added with the docs pass: the
 /// `docs/` directory, its README links, and the `cloud_batching` example.
 #[test]
 fn docs_and_cloud_batching_example_are_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("Determinism contract"),
-        "docs/ARCHITECTURE.md must document the determinism contract"
-    );
-    assert!(
-        architecture.contains("batch-close"),
-        "docs/ARCHITECTURE.md must walk through the serving tier's batch-close events"
-    );
-    let paper_map = read("docs/PAPER_MAP.md");
-    for crate_name in [
-        "lens-num",
-        "lens-nn",
-        "lens-space",
-        "lens-wireless",
-        "lens-device",
-        "lens-gp",
-        "lens-pareto",
-        "lens-accuracy",
-        "lens-runtime",
-        "lens-fleet",
-        "lens-core",
-        "lens-bench",
-    ] {
-        assert!(
-            paper_map.contains(crate_name),
-            "docs/PAPER_MAP.md must cover {crate_name}"
-        );
-    }
-
-    let readme = read("README.md");
-    assert!(
-        readme.contains("docs/ARCHITECTURE.md") && readme.contains("docs/PAPER_MAP.md"),
-        "README must link both docs"
-    );
-    let fleet_lib = read("crates/fleet/src/lib.rs");
-    assert!(
-        fleet_lib.contains("docs/ARCHITECTURE.md"),
-        "lens-fleet rustdoc must point at docs/ARCHITECTURE.md"
-    );
-
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../examples/cloud_batching.rs\""),
-        "cloud_batching example must be registered on the facade"
-    );
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
-    assert!(
-        bench_json.contains("batch_close"),
-        "BENCH_fleet.json must record the batch_close bench"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("docs/ARCHITECTURE.md", &["Determinism contract"], "docs/ARCHITECTURE.md must document the determinism contract"),
+        ("docs/ARCHITECTURE.md", &["batch-close"], "docs/ARCHITECTURE.md must walk through the serving tier's batch-close events"),
+        ("docs/PAPER_MAP.md", &["lens-num", "lens-nn", "lens-space", "lens-wireless", "lens-device", "lens-gp", "lens-pareto", "lens-accuracy", "lens-runtime", "lens-fleet", "lens-core", "lens-bench"], "docs/PAPER_MAP.md must cover every library crate"),
+        ("README.md", &["docs/ARCHITECTURE.md", "docs/PAPER_MAP.md"], "README must link both docs"),
+        ("crates/fleet/src/lib.rs", &["docs/ARCHITECTURE.md"], "lens-fleet rustdoc must point at docs/ARCHITECTURE.md"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/cloud_batching.rs\""], "cloud_batching example must be registered on the facade"),
+        ("crates/bench/benches/BENCH_fleet.json", &["batch_close"], "BENCH_fleet.json must record the batch_close bench"),
+    ];
+    check_pins(PINS);
 }
 
 /// Pins the per-request microsimulation surface: the fidelity knob, the
@@ -253,89 +228,46 @@ fn docs_and_cloud_batching_example_are_pinned() {
 /// bench record, and its CI smoke-run.
 #[test]
 fn per_request_microsim_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("Cloud fidelity modes"),
-        "docs/ARCHITECTURE.md must document the fidelity modes"
-    );
-    assert!(
-        architecture.contains("PerRequest"),
-        "docs/ARCHITECTURE.md must cover CloudSimFidelity::PerRequest"
-    );
-    assert!(
-        architecture.contains("slot-free events run first"),
-        "docs/ARCHITECTURE.md must document intra-epoch event ordering"
-    );
-    let paper_map = read("docs/PAPER_MAP.md");
-    assert!(
-        paper_map.contains("RegionMicrosim"),
-        "docs/PAPER_MAP.md must map the latency model to the per-request microsim"
-    );
-
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../examples/tail_latency.rs\""),
-        "tail_latency example must be registered on the facade"
-    );
-
-    let bench_source = read("crates/bench/benches/fleet_step.rs");
-    assert!(
-        bench_source.contains("per_request/10000"),
-        "fleet_step bench must measure the per-request path"
-    );
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
-    assert!(
-        bench_json.contains("per_request/10000"),
-        "BENCH_fleet.json must record the per_request bench"
-    );
-
-    let ci = read(".github/workflows/ci.yml");
-    assert!(
-        ci.contains("examples/*.rs"),
-        "CI must smoke-run tail_latency via the matrixed examples step"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("docs/ARCHITECTURE.md", &["Cloud fidelity modes"], "docs/ARCHITECTURE.md must document the fidelity modes"),
+        ("docs/ARCHITECTURE.md", &["PerRequest"], "docs/ARCHITECTURE.md must cover CloudSimFidelity::PerRequest"),
+        ("docs/ARCHITECTURE.md", &["slot-free events run first"], "docs/ARCHITECTURE.md must document intra-epoch event ordering"),
+        ("docs/PAPER_MAP.md", &["RegionMicrosim"], "docs/PAPER_MAP.md must map the latency model to the per-request microsim"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/tail_latency.rs\""], "tail_latency example must be registered on the facade"),
+        ("crates/bench/benches/fleet_step.rs", &["per_request/10000"], "fleet_step bench must measure the per-request path"),
+        ("crates/bench/benches/BENCH_fleet.json", &["per_request/10000"], "BENCH_fleet.json must record the per_request bench"),
+        (CI, &["examples/*.rs"], "CI must smoke-run tail_latency via the matrixed examples step"),
+    ];
+    check_pins(PINS);
 }
 
 #[test]
 fn ci_gates_docs_and_fleet_smoke_run() {
-    let root = repo_root();
-    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml exists");
-    assert!(
-        ci.contains("cargo doc --workspace --no-deps"),
-        "CI must build rustdoc for the workspace"
-    );
-    assert!(
-        ci.contains("RUSTDOCFLAGS: \"-D warnings\""),
-        "CI rustdoc step must deny warnings (broken intra-doc links fail)"
-    );
-    assert!(
-        ci.contains("cargo test --doc --workspace"),
-        "CI must run doctests explicitly"
-    );
-    // The four copy-pasted per-example steps collapsed into one matrixed
-    // loop: every file under examples/ is smoke-run in release, so new
-    // examples (fleet_scaleout, cloud_batching, autoscale_cost, …) are
-    // covered without editing the workflow.
-    assert!(
-        ci.contains("for src in examples/*.rs")
-            && ci.contains("cargo run --example \"$example\" --release --locked"),
-        "CI must smoke-run every example via the matrixed loop step"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        (CI, &["cargo doc --workspace --no-deps"], "CI must build rustdoc for the workspace"),
+        (CI, &["RUSTDOCFLAGS: \"-D warnings\""], "CI rustdoc step must deny warnings (broken intra-doc links fail)"),
+        (CI, &["cargo test --doc --workspace"], "CI must run doctests explicitly"),
+        // The four copy-pasted per-example steps collapsed into one
+        // matrixed loop: every file under examples/ is smoke-run in
+        // release, so new examples (fleet_scaleout, cloud_batching,
+        // autoscale_cost, …) are covered without editing the workflow.
+        (CI, &["for src in examples/*.rs", "cargo run --example \"$example\" --release --locked"], "CI must smoke-run every example via the matrixed loop step"),
+    ];
+    check_pins(PINS);
 }
 
 #[test]
 fn ci_workflow_is_structured_for_scale() {
-    let root = repo_root();
-    let ci = fs::read_to_string(root.join(".github/workflows/ci.yml")).expect("ci.yml exists");
-    assert!(
-        ci.contains("concurrency:") && ci.contains("cancel-in-progress: true"),
-        "CI must cancel superseded runs per ref"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        (CI, &["concurrency:", "cancel-in-progress: true"], "CI must cancel superseded runs per ref"),
+    ];
+    check_pins(PINS);
     // Every job carries a timeout so a hung step cannot pin a runner for
     // the default six hours.
+    let ci = read(CI);
     let jobs = ci.matches("runs-on:").count();
     let timeouts = ci.matches("timeout-minutes:").count();
     assert!(jobs >= 3, "expected the three-job workflow, found {jobs}");
@@ -350,88 +282,43 @@ fn ci_workflow_is_structured_for_scale() {
 /// + CI job + baselines), and the release-mode determinism job.
 #[test]
 fn autoscaling_and_bench_gate_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("Autoscaling"),
-        "docs/ARCHITECTURE.md must document the autoscaler state machine"
-    );
-    assert!(
-        architecture.contains("drain → scale → publish"),
-        "docs/ARCHITECTURE.md must document the barrier-phase ordering"
-    );
-    assert!(
-        architecture.contains("CostAware"),
-        "docs/ARCHITECTURE.md must document cost-aware dispatch"
-    );
-    let paper_map = read("docs/PAPER_MAP.md");
-    assert!(
-        paper_map.contains("price × energy"),
-        "docs/PAPER_MAP.md must map L_cloud to the price × energy objective"
-    );
-
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../examples/autoscale_cost.rs\""),
-        "autoscale_cost example must be registered on the facade"
-    );
-
-    // The bench-regression gate: the in-process gate binary exists, CI
-    // runs it as its own job, and the fleet baselines carry the records
-    // it reads plus the new autoscaled bench.
-    let gate = read("crates/bench/src/bin/bench_gate.rs");
-    for needle in ["run/10000", "per_request/10000", "hypervolume_3d"] {
-        assert!(gate.contains(needle), "bench_gate must gate {needle}");
-    }
-    let bench_source = read("crates/bench/benches/fleet_step.rs");
-    assert!(
-        bench_source.contains("run_autoscaled/10000"),
-        "fleet_step bench must measure the autoscaled path"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("docs/ARCHITECTURE.md", &["Autoscaling"], "docs/ARCHITECTURE.md must document the autoscaler state machine"),
+        ("docs/ARCHITECTURE.md", &["drain → scale → publish"], "docs/ARCHITECTURE.md must document the barrier-phase ordering"),
+        ("docs/ARCHITECTURE.md", &["CostAware"], "docs/ARCHITECTURE.md must document cost-aware dispatch"),
+        ("docs/PAPER_MAP.md", &["price × energy"], "docs/PAPER_MAP.md must map L_cloud to the price × energy objective"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/autoscale_cost.rs\""], "autoscale_cost example must be registered on the facade"),
+        // The bench-regression gate: the in-process gate binary exists,
+        // CI runs it as its own job, and the fleet baselines carry the
+        // records it reads plus the new autoscaled bench.
+        (BENCH_GATE, &["run/10000", "per_request/10000", "hypervolume_3d"], "bench_gate must gate the fleet and Pareto paths"),
+        ("crates/bench/benches/fleet_step.rs", &["run_autoscaled/10000"], "fleet_step bench must measure the autoscaled path"),
+        ("crates/bench/benches/BENCH_fleet.json", &["run_autoscaled/10000"], "BENCH_fleet.json must record the autoscaled bench"),
+        (CI, &["cargo run --release -p lens-bench --bin bench_gate"], "CI must run the bench-regression gate"),
+        (CI, &["cargo test --release -q --locked -p lens --test fleet_sim"], "CI must run the fleet determinism tests in release mode"),
+    ];
+    check_pins(PINS);
     // Gate and benches must build their workloads from the one shared
     // module — measuring a drifted copy would gate the wrong thing.
-    for (path, source) in [
-        ("bench_gate", &gate),
-        ("fleet_step", &bench_source),
-        (
-            "pareto_update",
-            &read("crates/bench/benches/pareto_update.rs"),
-        ),
+    for path in [
+        BENCH_GATE,
+        "crates/bench/benches/fleet_step.rs",
+        "crates/bench/benches/pareto_update.rs",
     ] {
+        let source = read(path);
         assert!(
             source.contains("lens_bench::workloads") || source.contains("workloads::"),
             "{path} must use the shared lens_bench::workloads definitions"
         );
     }
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
-    assert!(
-        bench_json.contains("run_autoscaled/10000"),
-        "BENCH_fleet.json must record the autoscaled bench"
-    );
-    for (section, key) in [
-        ("run/10000", "after_ns_per_inference_event"),
-        ("per_request/10000", "after_ns_per_inference_event"),
-    ] {
-        let at = bench_json
-            .find(&format!("\"{section}\""))
-            .unwrap_or_else(|| panic!("BENCH_fleet.json missing {section}"));
-        assert!(
-            bench_json[at..bench_json[at..].find('}').unwrap() + at].contains(key),
-            "BENCH_fleet.json {section} must record {key} for the gate"
+    for section in ["run/10000", "per_request/10000"] {
+        assert_baseline_section(
+            "crates/bench/benches/BENCH_fleet.json",
+            section,
+            &["after_ns_per_inference_event"],
         );
     }
-
-    let ci = read(".github/workflows/ci.yml");
-    assert!(
-        ci.contains("cargo run --release -p lens-bench --bin bench_gate"),
-        "CI must run the bench-regression gate"
-    );
-    assert!(
-        ci.contains("cargo test --release -q --locked -p lens --test fleet_sim"),
-        "CI must run the fleet determinism tests in release mode"
-    );
 }
 
 /// Pins the determinism-auditor surface (PR 6): the `lens-analyzer`
@@ -440,28 +327,28 @@ fn autoscaling_and_bench_gate_surface_is_pinned() {
 /// the docs section, and the extended bench-gate paths.
 #[test]
 fn static_analysis_surface_is_pinned() {
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        // CI runs the analyzer as its own job, in JSON mode so the log
+        // is grep-able.
+        (CI, &["cargo run -p lens-analyzer --locked -- --format json"], "CI must run the determinism audit"),
+        ("Cargo.toml", &["[workspace.lints.rust]", "unsafe_code = \"deny\""], "root manifest must deny unsafe_code via [workspace.lints]"),
+        ("Cargo.toml", &["lens-analyzer = { path = \"crates/analyzer\""], "[workspace.dependencies] must carry lens-analyzer"),
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/static_analysis.rs\""], "static_analysis test must be registered on the facade"),
+        ("crates/lens/Cargo.toml", &["lens-analyzer = { workspace = true }"], "the facade must dev-depend on lens-analyzer"),
+        // Docs: the rules are user-facing contract, not analyzer trivia.
+        ("docs/ARCHITECTURE.md", &["Determinism rules"], "docs/ARCHITECTURE.md must document the audited rules"),
+        ("docs/ARCHITECTURE.md", &["lens-analyzer: allow("], "docs/ARCHITECTURE.md must document the allowlist syntax"),
+        ("README.md", &["lens-analyzer"], "README must point at the determinism auditor"),
+        // The extended bench-gate surface: search-side paths are gated
+        // too.
+        (BENCH_GATE, &["build_front/5000", "gp/fit/300"], "bench_gate must gate the search-side paths"),
+        ("crates/bench/benches/BENCH_pareto.json", &["build_front/5000", "gp/fit/300"], "BENCH_pareto.json must record a baseline for every gated search path"),
+    ];
+    check_pins(PINS);
+
+    // Every crate opts into the workspace lints.
     let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    // CI runs the analyzer as its own job, in JSON mode so the log is
-    // grep-able.
-    let ci = read(".github/workflows/ci.yml");
-    assert!(
-        ci.contains("cargo run -p lens-analyzer --locked -- --format json"),
-        "CI must run the determinism audit"
-    );
-
-    // Workspace lints exist and every crate (and shim) opts in.
-    let root_manifest = read("Cargo.toml");
-    assert!(
-        root_manifest.contains("[workspace.lints.rust]")
-            && root_manifest.contains("unsafe_code = \"deny\""),
-        "root manifest must deny unsafe_code via [workspace.lints]"
-    );
-    assert!(
-        root_manifest.contains("lens-analyzer = { path = \"crates/analyzer\""),
-        "[workspace.dependencies] must carry lens-analyzer"
-    );
     for crate_dir in list_dir(&root.join("crates")) {
         if !crate_dir.is_dir() {
             continue;
@@ -485,7 +372,7 @@ fn static_analysis_surface_is_pinned() {
         }
     }
 
-    // One fixture tree per rule, and the analyzer's own test surface.
+    // One fixture tree per rule.
     for rule in [
         "unordered-collections",
         "wall-clock",
@@ -500,41 +387,6 @@ fn static_analysis_surface_is_pinned() {
             "fixture tree for rule {rule} is missing"
         );
     }
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../tests/static_analysis.rs\""),
-        "static_analysis test must be registered on the facade"
-    );
-    assert!(
-        facade_manifest.contains("lens-analyzer = { workspace = true }"),
-        "the facade must dev-depend on lens-analyzer"
-    );
-
-    // Docs: the rules are user-facing contract, not analyzer trivia.
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("Determinism rules"),
-        "docs/ARCHITECTURE.md must document the audited rules"
-    );
-    assert!(
-        architecture.contains("lens-analyzer: allow("),
-        "docs/ARCHITECTURE.md must document the allowlist syntax"
-    );
-    assert!(
-        read("README.md").contains("lens-analyzer"),
-        "README must point at the determinism auditor"
-    );
-
-    // The extended bench-gate surface: search-side paths are gated too.
-    let gate = read("crates/bench/src/bin/bench_gate.rs");
-    let bench_json = read("crates/bench/benches/BENCH_pareto.json");
-    for needle in ["build_front/5000", "gp/fit/300"] {
-        assert!(gate.contains(needle), "bench_gate must gate {needle}");
-        assert!(
-            bench_json.contains(needle),
-            "BENCH_pareto.json must record a baseline for {needle}"
-        );
-    }
 }
 
 /// Pins the observability surface (PR 7): the `lens-telemetry` crate,
@@ -543,113 +395,48 @@ fn static_analysis_surface_is_pinned() {
 /// entry, the docs section, and the CI trace-validation step.
 #[test]
 fn observability_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    // The crate exists, is dependency-free, and is wired into the fleet.
-    let telemetry_manifest = read("crates/telemetry/Cargo.toml");
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        // The crate exists, is dependency-free, and is wired into the
+        // fleet.
+        ("crates/telemetry/Cargo.toml", &["name = \"lens-telemetry\""], "crates/telemetry must declare package lens-telemetry"),
+        ("Cargo.toml", &["lens-telemetry = { path = \"crates/telemetry\""], "[workspace.dependencies] must carry lens-telemetry"),
+        ("crates/fleet/Cargo.toml", &["lens-telemetry = { workspace = true }"], "lens-fleet must depend on lens-telemetry"),
+        ("crates/fleet/src/lib.rs", &["pub use lens_telemetry::"], "lens-fleet must re-export the telemetry surface"),
+        ("crates/lens/src/lib.rs", &["pub use lens_telemetry as telemetry;"], "the facade must re-export lens-telemetry"),
+        // The example records a run and dumps both export formats.
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/flight_recorder.rs\""], "flight_recorder example must be registered on the facade"),
+        ("examples/flight_recorder.rs", &["run_traced", "to_chrome_trace"], "flight_recorder must exercise run_traced and the Chrome export"),
+        // The analyzer's rule surface covers the telemetry crate (its
+        // seeded fixture is checked below).
+        (ANALYZER_RULES, &["loc.crate_dir == \"telemetry\""], "the numeric analyzer rules must scope to crates/telemetry"),
+        // Benches: the traced run is measured and gated, and the
+        // untraced run keeps its (disabled-sink) baseline entry.
+        ("crates/bench/benches/fleet_step.rs", &["run_traced/10000"], "fleet_step bench must measure the traced path"),
+        (BENCH_GATE, &["fleet/run_traced/10000"], "bench_gate must gate the traced run"),
+        // Docs and the shard-invariance pins.
+        ("docs/ARCHITECTURE.md", &["## Observability"], "docs/ARCHITECTURE.md must document the observability layer"),
+        ("docs/ARCHITECTURE.md", &["Sink", "FlightRecorder", "trace_event", "PhaseProbe"], "docs/ARCHITECTURE.md Observability section must name its pieces"),
+        ("README.md", &["lens-telemetry"], "README must point at the telemetry crate"),
+        ("docs/PAPER_MAP.md", &["lens-telemetry"], "docs/PAPER_MAP.md must cover lens-telemetry"),
+        ("tests/fleet_sim.rs", &["trace_digest", "metrics_digest"], "tests/fleet_sim.rs must pin the trace and metrics digests"),
+        // CI validates the emitted Chrome trace after the example loop.
+        (CI, &["target/flight_recorder/trace.json"], "CI must validate the flight_recorder Chrome trace output"),
+    ];
+    check_pins(PINS);
     assert!(
-        telemetry_manifest.contains("name = \"lens-telemetry\""),
-        "crates/telemetry must declare package lens-telemetry"
-    );
-    assert!(
-        read("Cargo.toml").contains("lens-telemetry = { path = \"crates/telemetry\""),
-        "[workspace.dependencies] must carry lens-telemetry"
-    );
-    assert!(
-        read("crates/fleet/Cargo.toml").contains("lens-telemetry = { workspace = true }"),
-        "lens-fleet must depend on lens-telemetry"
-    );
-    let fleet_lib = read("crates/fleet/src/lib.rs");
-    assert!(
-        fleet_lib.contains("pub use lens_telemetry::"),
-        "lens-fleet must re-export the telemetry surface"
-    );
-    let facade_lib = read("crates/lens/src/lib.rs");
-    assert!(
-        facade_lib.contains("pub use lens_telemetry as telemetry;"),
-        "the facade must re-export lens-telemetry"
-    );
-
-    // The example records a run and dumps both export formats.
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../examples/flight_recorder.rs\""),
-        "flight_recorder example must be registered on the facade"
-    );
-    let example = read("examples/flight_recorder.rs");
-    assert!(
-        example.contains("run_traced") && example.contains("to_chrome_trace"),
-        "flight_recorder must exercise run_traced and the Chrome export"
-    );
-
-    // The analyzer's rule surface covers the telemetry crate, with its
-    // own seeded fixture proving wall-clock still fires there.
-    assert!(
-        read("crates/analyzer/src/rules.rs").contains("loc.crate_dir == \"telemetry\""),
-        "the numeric analyzer rules must scope to crates/telemetry"
-    );
-    assert!(
-        root.join("crates/analyzer/fixtures/telemetry-wall-clock")
+        repo_root()
+            .join("crates/analyzer/fixtures/telemetry-wall-clock")
             .is_dir(),
         "telemetry wall-clock fixture tree is missing"
     );
-
-    // Benches: the traced run is measured and gated, and the untraced
-    // run keeps its (disabled-sink) baseline entry.
-    assert!(
-        read("crates/bench/benches/fleet_step.rs").contains("run_traced/10000"),
-        "fleet_step bench must measure the traced path"
-    );
-    let gate = read("crates/bench/src/bin/bench_gate.rs");
-    assert!(
-        gate.contains("fleet/run_traced/10000"),
-        "bench_gate must gate the traced run"
-    );
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
     for section in ["run/10000", "run_traced/10000"] {
-        let at = bench_json
-            .find(&format!("\"{section}\""))
-            .unwrap_or_else(|| panic!("BENCH_fleet.json missing {section}"));
-        assert!(
-            bench_json[at..bench_json[at..].find('}').unwrap() + at]
-                .contains("after_ns_per_inference_event"),
-            "BENCH_fleet.json {section} must carry the gate's ns/event key"
+        assert_baseline_section(
+            "crates/bench/benches/BENCH_fleet.json",
+            section,
+            &["after_ns_per_inference_event"],
         );
     }
-
-    // Docs and the shard-invariance pins.
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("## Observability"),
-        "docs/ARCHITECTURE.md must document the observability layer"
-    );
-    for needle in ["Sink", "FlightRecorder", "trace_event", "PhaseProbe"] {
-        assert!(
-            architecture.contains(needle),
-            "docs/ARCHITECTURE.md Observability section must mention {needle}"
-        );
-    }
-    assert!(
-        read("README.md").contains("lens-telemetry"),
-        "README must point at the telemetry crate"
-    );
-    assert!(
-        read("docs/PAPER_MAP.md").contains("lens-telemetry"),
-        "docs/PAPER_MAP.md must cover lens-telemetry"
-    );
-    let fleet_sim = read("tests/fleet_sim.rs");
-    assert!(
-        fleet_sim.contains("trace_digest") && fleet_sim.contains("metrics_digest"),
-        "tests/fleet_sim.rs must pin the trace and metrics digests"
-    );
-
-    // CI validates the emitted Chrome trace after the example loop.
-    let ci = read(".github/workflows/ci.yml");
-    assert!(
-        ci.contains("target/flight_recorder/trace.json"),
-        "CI must validate the flight_recorder Chrome trace output"
-    );
 }
 
 /// Pins the closed tail-latency loop surface (PR 8): the workload-curve
@@ -659,106 +446,49 @@ fn observability_surface_is_pinned() {
 /// extension, the docs sections, and the CI release-determinism step.
 #[test]
 fn closed_loop_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    // The three pieces of the loop live where the map says they do.
-    let scenario = read("crates/fleet/src/scenario.rs");
-    assert!(
-        scenario.contains("pub struct WorkloadCurve") && scenario.contains("CURVE_FP_SCALE"),
-        "crates/fleet/src/scenario.rs must define the fixed-point WorkloadCurve"
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        // The three pieces of the loop live where the map says they do.
+        ("crates/fleet/src/scenario.rs", &["pub struct WorkloadCurve", "CURVE_FP_SCALE"], "crates/fleet/src/scenario.rs must define the fixed-point WorkloadCurve"),
+        ("crates/fleet/src/cloud.rs", &["TailLatency"], "crates/fleet/src/cloud.rs must define ScalingSignal::TailLatency"),
+        ("crates/fleet/src/device.rs", &["RETREAT_SALT", "CURVE_SALT"], "device-side curve/retreat draws must use their own salted hash streams"),
+        // Regression suite + example are registered and CI runs both.
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/closed_loop.rs\""], "closed_loop test must be registered on the facade"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/flash_crowd.rs\""], "flash_crowd example must be registered on the facade"),
+        (CI, &["cargo test --release -q --locked -p lens --test closed_loop"], "CI must run the closed-loop suite in release mode"),
+        // Bench + gate price the loop against a checked-in baseline.
+        ("crates/bench/benches/fleet_step.rs", &["run_flash_crowd/10000"], "fleet_step bench must measure the closed loop"),
+        (BENCH_GATE, &["run_flash_crowd/10000"], "bench_gate must gate the closed loop"),
+        // The analyzer's float-accumulation scope covers the curve code.
+        (ANALYZER_RULES, &["crates/fleet/src/scenario.rs"], "the float-accumulation rule must scope to crates/fleet/src/scenario.rs"),
+        // Docs walk the loop end to end.
+        ("docs/ARCHITECTURE.md", &["The closed tail-latency loop"], "docs/ARCHITECTURE.md must document the closed loop"),
+        ("docs/ARCHITECTURE.md", &["WorkloadCurve", "TailLatency", "p99_ms", "retreat"], "docs/ARCHITECTURE.md closed-loop section must name its pieces"),
+        ("docs/PAPER_MAP.md", &["WorkloadCurve"], "docs/PAPER_MAP.md must map the closed loop"),
+    ];
+    check_pins(PINS);
+    assert_baseline_section(
+        "crates/bench/benches/BENCH_fleet.json",
+        "run_flash_crowd/10000",
+        &["after_ns_per_inference_event"],
     );
     assert!(
-        read("crates/fleet/src/cloud.rs").contains("TailLatency"),
-        "crates/fleet/src/cloud.rs must define ScalingSignal::TailLatency"
-    );
-    let device = read("crates/fleet/src/device.rs");
-    assert!(
-        device.contains("RETREAT_SALT") && device.contains("CURVE_SALT"),
-        "device-side curve/retreat draws must use their own salted hash streams"
-    );
-
-    // Regression suite + example are registered and CI runs both.
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../tests/closed_loop.rs\""),
-        "closed_loop test must be registered on the facade"
-    );
-    assert!(
-        facade_manifest.contains("path = \"../../examples/flash_crowd.rs\""),
-        "flash_crowd example must be registered on the facade"
-    );
-    let ci = read(".github/workflows/ci.yml");
-    assert!(
-        ci.contains("cargo test --release -q --locked -p lens --test closed_loop"),
-        "CI must run the closed-loop suite in release mode"
-    );
-
-    // Bench + gate price the loop against a checked-in baseline.
-    assert!(
-        read("crates/bench/benches/fleet_step.rs").contains("run_flash_crowd/10000"),
-        "fleet_step bench must measure the closed loop"
-    );
-    assert!(
-        read("crates/bench/src/bin/bench_gate.rs").contains("run_flash_crowd/10000"),
-        "bench_gate must gate the closed loop"
-    );
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
-    let at = bench_json
-        .find("\"run_flash_crowd/10000\"")
-        .expect("BENCH_fleet.json missing run_flash_crowd/10000");
-    assert!(
-        bench_json[at..bench_json[at..].find('}').unwrap() + at]
-            .contains("after_ns_per_inference_event"),
-        "BENCH_fleet.json run_flash_crowd/10000 must carry the gate's ns/event key"
-    );
-
-    // The analyzer's float-accumulation scope covers the curve code.
-    assert!(
-        read("crates/analyzer/src/rules.rs").contains("crates/fleet/src/scenario.rs"),
-        "the float-accumulation rule must scope to crates/fleet/src/scenario.rs"
-    );
-    assert!(
-        root.join("crates/analyzer/fixtures/workload-curve")
+        repo_root()
+            .join("crates/analyzer/fixtures/workload-curve")
             .is_dir(),
         "workload-curve fixture tree is missing"
-    );
-
-    // Docs walk the loop end to end.
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("The closed tail-latency loop"),
-        "docs/ARCHITECTURE.md must document the closed loop"
-    );
-    for needle in ["WorkloadCurve", "TailLatency", "p99_ms", "retreat"] {
-        assert!(
-            architecture.contains(needle),
-            "docs/ARCHITECTURE.md closed-loop section must mention {needle}"
-        );
-    }
-    assert!(
-        read("docs/PAPER_MAP.md").contains("WorkloadCurve"),
-        "docs/PAPER_MAP.md must map the closed loop"
     );
 }
 
 #[test]
 fn release_profile_is_tuned_for_benchmarking() {
-    let root = repo_root();
-    let root_manifest =
-        fs::read_to_string(root.join("Cargo.toml")).expect("root Cargo.toml exists");
-    assert!(
-        root_manifest.contains("[profile.release]"),
-        "release profile tuning missing"
-    );
-    assert!(
-        root_manifest.contains("codegen-units = 1"),
-        "release profile should pin codegen-units = 1"
-    );
-    assert!(
-        root_manifest.contains("lto"),
-        "release profile should enable LTO"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        ("Cargo.toml", &["[profile.release]"], "release profile tuning missing"),
+        ("Cargo.toml", &["codegen-units = 1"], "release profile should pin codegen-units = 1"),
+        ("Cargo.toml", &["lto"], "release profile should enable LTO"),
+    ];
+    check_pins(PINS);
 }
 
 /// Pins the parallel-barrier-replay / million-device-scale surface
@@ -768,72 +498,27 @@ fn release_profile_is_tuned_for_benchmarking() {
 /// the bench gate's single-retry policy.
 #[test]
 fn parallel_replay_and_scale_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    // The replay worker module exists and owns the scoped fan-out.
-    let replay = read("crates/fleet/src/replay.rs");
-    assert!(
-        replay.contains("std::thread::scope"),
-        "replay.rs must fan regions out over a scoped thread pool"
-    );
-    assert!(
-        read("crates/fleet/src/scenario.rs").contains("pub enum ReplayMode"),
-        "the ReplayMode knob must live on the scenario"
-    );
-
-    // Docs: the ARCHITECTURE section and the PAPER_MAP scale row.
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("Parallel barrier replay"),
-        "docs/ARCHITECTURE.md must document the parallel barrier replay"
-    );
-    for needle in [
-        "ReplayMode",
-        "fixed region order",
-        "crates/fleet/src/replay.rs",
-    ] {
-        assert!(
-            architecture.contains(needle),
-            "docs/ARCHITECTURE.md replay section must mention {needle}"
-        );
-    }
-    let paper_map = read("docs/PAPER_MAP.md");
-    assert!(
-        paper_map.contains("million devices") && paper_map.contains("ReplayMode"),
-        "docs/PAPER_MAP.md must carry the million-device scale row"
-    );
-
-    // The analyzer admits exactly the two sanctioned concurrency sites.
-    let rules = read("crates/analyzer/src/rules.rs");
-    assert!(
-        rules.contains("crates/fleet/src/engine.rs")
-            && rules.contains("crates/fleet/src/replay.rs"),
-        "thread-confinement must carve out engine.rs and replay.rs"
-    );
-
-    // The flagship scale example is registered and self-describing.
-    assert!(
-        read("crates/lens/Cargo.toml").contains("path = \"../../examples/million_fleet.rs\""),
-        "million_fleet example must be registered on the facade"
-    );
-    let example = read("examples/million_fleet.rs");
-    assert!(
-        example.contains("LENS_MILLION_FLEET_POP"),
-        "million_fleet must scale its population via LENS_MILLION_FLEET_POP"
-    );
-
-    // The proptest pin: parallel replay ≡ sequential replay.
-    assert!(
-        read("tests/cross_crate_props.rs").contains("ReplayMode::Sequential"),
-        "cross_crate_props must pin parallel vs sequential replay"
-    );
-
-    // bench_gate earns one re-measure before failing.
-    assert!(
-        read("crates/bench/src/bin/bench_gate.rs").contains("re-measured"),
-        "bench_gate must re-measure once before declaring a regression"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        // The replay worker module exists and owns the scoped fan-out.
+        ("crates/fleet/src/replay.rs", &["std::thread::scope"], "replay.rs must fan regions out over a scoped thread pool"),
+        ("crates/fleet/src/scenario.rs", &["pub enum ReplayMode"], "the ReplayMode knob must live on the scenario"),
+        // Docs: the ARCHITECTURE section and the PAPER_MAP scale row.
+        ("docs/ARCHITECTURE.md", &["Parallel barrier replay"], "docs/ARCHITECTURE.md must document the parallel barrier replay"),
+        ("docs/ARCHITECTURE.md", &["ReplayMode", "fixed region order", "crates/fleet/src/replay.rs"], "docs/ARCHITECTURE.md replay section must name its pieces"),
+        ("docs/PAPER_MAP.md", &["million devices", "ReplayMode"], "docs/PAPER_MAP.md must carry the million-device scale row"),
+        // The analyzer admits exactly the two sanctioned concurrency
+        // sites.
+        (ANALYZER_RULES, &["crates/fleet/src/engine.rs", "crates/fleet/src/replay.rs"], "thread-confinement must carve out engine.rs and replay.rs"),
+        // The flagship scale example is registered and self-describing.
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/million_fleet.rs\""], "million_fleet example must be registered on the facade"),
+        ("examples/million_fleet.rs", &["LENS_MILLION_FLEET_POP"], "million_fleet must scale its population via LENS_MILLION_FLEET_POP"),
+        // The proptest pin: parallel replay ≡ sequential replay.
+        ("tests/cross_crate_props.rs", &["ReplayMode::Sequential"], "cross_crate_props must pin parallel vs sequential replay"),
+        // bench_gate earns one re-measure before failing.
+        (BENCH_GATE, &["re-measured"], "bench_gate must re-measure once before declaring a regression"),
+    ];
+    check_pins(PINS);
 }
 
 /// Pins the staged split-inference pipeline surface (PR 10): the three
@@ -844,118 +529,47 @@ fn parallel_replay_and_scale_surface_is_pinned() {
 /// release-determinism step.
 #[test]
 fn staged_pipeline_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    // The three implementing modules live where the docs say they do.
-    assert!(
-        read("crates/space/src/staged.rs").contains("pub struct StagedPlan"),
-        "crates/space/src/staged.rs must define StagedPlan"
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        // The three implementing modules live where the docs say they do.
+        ("crates/space/src/staged.rs", &["pub struct StagedPlan"], "crates/space/src/staged.rs must define StagedPlan"),
+        ("crates/wireless/src/transfer.rs", &["pub struct TransferModel"], "crates/wireless/src/transfer.rs must define TransferModel"),
+        ("crates/fleet/src/pipeline.rs", &["pub struct PipelineSpec", "MAX_PIPELINE_DEPTH"], "crates/fleet/src/pipeline.rs must define PipelineSpec and its depth cap"),
+        // The walkthrough document exists, covers the load-bearing
+        // pieces, and is linked from the README, ARCHITECTURE, and the
+        // fleet landing.
+        ("docs/PIPELINES.md", &["StagedPlan", "TransferModel", "PipelineSpec", "(arrival_us, device_id, stage)", "one epoch later at the same epoch offset", "split_pipeline"], "docs/PIPELINES.md must cover the pipeline's load-bearing pieces"),
+        ("README.md", &["docs/PIPELINES.md"], "README must link docs/PIPELINES.md"),
+        ("docs/ARCHITECTURE.md", &["## Staged pipelines", "PIPELINES.md", "PipelineSpec"], "docs/ARCHITECTURE.md must carry the staged-pipelines section"),
+        ("crates/fleet/src/lib.rs", &["Staged pipelines", "PIPELINES.md"], "the lens-fleet landing page must document staged pipelines"),
+        // Paper map: the split-decision rows cite the related work that
+        // motivates multi-cut placement.
+        ("docs/PAPER_MAP.md", &["StagedPlan", "2111.02489", "2003.06464"], "docs/PAPER_MAP.md split rows must cite StagedPlan and its related work"),
+        // Test + example are registered on the facade.
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/split_pipeline.rs\""], "split_pipeline test must be registered on the facade"),
+        ("crates/lens/Cargo.toml", &["path = \"../../examples/split_pipeline.rs\""], "split_pipeline example must be registered on the facade"),
+        // Bench + gate price the pipelined barrier against a checked-in
+        // same-machine baseline.
+        ("crates/bench/benches/fleet_step.rs", &["pipeline/10000"], "fleet_step bench must measure the pipelined path"),
+        (BENCH_GATE, &["fleet/pipeline/10000"], "bench_gate must gate the pipelined run"),
+        // The analyzer covers the two integer-pricing modules (its
+        // seeded fixture is checked below).
+        (ANALYZER_RULES, &["crates/wireless/src/transfer.rs", "crates/fleet/src/pipeline.rs"], "float-accumulation must scope to the transfer-pricing modules"),
+        // CI runs the determinism suite in release mode (the example
+        // smoke run rides the matrixed examples loop).
+        (CI, &["cargo test --release -q --locked -p lens --test split_pipeline"], "CI must run the split-pipeline suite in release mode"),
+    ];
+    check_pins(PINS);
+    assert_baseline_section(
+        "crates/bench/benches/BENCH_fleet.json",
+        "pipeline/10000",
+        &["after_ns_per_inference_event"],
     );
     assert!(
-        read("crates/wireless/src/transfer.rs").contains("pub struct TransferModel"),
-        "crates/wireless/src/transfer.rs must define TransferModel"
-    );
-    let pipeline = read("crates/fleet/src/pipeline.rs");
-    assert!(
-        pipeline.contains("pub struct PipelineSpec") && pipeline.contains("MAX_PIPELINE_DEPTH"),
-        "crates/fleet/src/pipeline.rs must define PipelineSpec and its depth cap"
-    );
-
-    // The walkthrough document exists, covers the load-bearing pieces,
-    // and is linked from the README, ARCHITECTURE, and the fleet landing.
-    let pipelines_doc = read("docs/PIPELINES.md");
-    for needle in [
-        "StagedPlan",
-        "TransferModel",
-        "PipelineSpec",
-        "(arrival_us, device_id, stage)",
-        "one epoch later at the same epoch offset",
-        "split_pipeline",
-    ] {
-        assert!(
-            pipelines_doc.contains(needle),
-            "docs/PIPELINES.md must cover {needle}"
-        );
-    }
-    assert!(
-        read("README.md").contains("docs/PIPELINES.md"),
-        "README must link docs/PIPELINES.md"
-    );
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("## Staged pipelines")
-            && architecture.contains("PIPELINES.md")
-            && architecture.contains("PipelineSpec"),
-        "docs/ARCHITECTURE.md must carry the staged-pipelines section"
-    );
-    let fleet_lib = read("crates/fleet/src/lib.rs");
-    assert!(
-        fleet_lib.contains("Staged pipelines") && fleet_lib.contains("PIPELINES.md"),
-        "the lens-fleet landing page must document staged pipelines"
-    );
-
-    // Paper map: the split-decision rows cite the related work that
-    // motivates multi-cut placement.
-    let paper_map = read("docs/PAPER_MAP.md");
-    for needle in ["StagedPlan", "2111.02489", "2003.06464"] {
-        assert!(
-            paper_map.contains(needle),
-            "docs/PAPER_MAP.md split rows must mention {needle}"
-        );
-    }
-
-    // Test + example are registered on the facade.
-    let facade_manifest = read("crates/lens/Cargo.toml");
-    assert!(
-        facade_manifest.contains("path = \"../../tests/split_pipeline.rs\""),
-        "split_pipeline test must be registered on the facade"
-    );
-    assert!(
-        facade_manifest.contains("path = \"../../examples/split_pipeline.rs\""),
-        "split_pipeline example must be registered on the facade"
-    );
-
-    // Bench + gate price the pipelined barrier against a checked-in
-    // same-machine baseline.
-    assert!(
-        read("crates/bench/benches/fleet_step.rs").contains("pipeline/10000"),
-        "fleet_step bench must measure the pipelined path"
-    );
-    assert!(
-        read("crates/bench/src/bin/bench_gate.rs").contains("fleet/pipeline/10000"),
-        "bench_gate must gate the pipelined run"
-    );
-    let bench_json = read("crates/bench/benches/BENCH_fleet.json");
-    let at = bench_json
-        .find("\"pipeline/10000\"")
-        .expect("BENCH_fleet.json missing pipeline/10000");
-    assert!(
-        bench_json[at..bench_json[at..].find('}').unwrap() + at]
-            .contains("after_ns_per_inference_event"),
-        "BENCH_fleet.json pipeline/10000 must carry the gate's ns/event key"
-    );
-
-    // The analyzer covers the two integer-pricing modules, with a seeded
-    // fixture proving float-accumulation fires there.
-    let rules = read("crates/analyzer/src/rules.rs");
-    assert!(
-        rules.contains("crates/wireless/src/transfer.rs")
-            && rules.contains("crates/fleet/src/pipeline.rs"),
-        "float-accumulation must scope to the transfer-pricing modules"
-    );
-    assert!(
-        root.join("crates/analyzer/fixtures/transfer-pricing")
+        repo_root()
+            .join("crates/analyzer/fixtures/transfer-pricing")
             .is_dir(),
         "transfer-pricing fixture tree is missing"
-    );
-
-    // CI runs the determinism suite in release mode (the example smoke
-    // run rides the matrixed examples loop).
-    assert!(
-        read(".github/workflows/ci.yml")
-            .contains("cargo test --release -q --locked -p lens --test split_pipeline"),
-        "CI must run the split-pipeline suite in release mode"
     );
 }
 
@@ -966,83 +580,53 @@ fn staged_pipeline_surface_is_pinned() {
 /// row-appended factors under their real names.
 #[test]
 fn search_surrogate_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        (CI, &["cargo test --release -q --locked -p lens --test search_pin"], "CI must run the search pins at the full budget in release mode"),
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/search_pin.rs\""], "tests/search_pin.rs must be registered on the facade"),
+        (BENCH_GATE, &["gp/fit/300", "gp/suggest/300"], "bench_gate must gate the fit and the steady-state suggest"),
+        (BENCH_GATE, &["workloads::gp_suggest_state"], "bench_gate must build the suggest state from lens_bench::workloads"),
+        ("crates/bench/benches/gp_fit.rs", &["gp_suggest_state"], "the gp_fit bench must build the suggest state from lens_bench::workloads"),
+        ("docs/ARCHITECTURE.md", &["## Search surrogate cost"], "docs/ARCHITECTURE.md must explain where a search iteration's time goes"),
+        ("docs/PAPER_MAP.md", &["lens-gp::mobo::MultiObjectiveOptimizer"], "docs/PAPER_MAP.md must name the MOBO driver by its real type"),
+    ];
+    check_pins(PINS);
     assert!(
-        read(".github/workflows/ci.yml")
-            .contains("cargo test --release -q --locked -p lens --test search_pin"),
-        "CI must run the search pins at the full budget in release mode"
+        !read("docs/PAPER_MAP.md").contains("MoboDriver"),
+        "docs/PAPER_MAP.md must not name the MOBO driver by a retired type"
     );
-    assert!(
-        read("crates/lens/Cargo.toml").contains("path = \"../../tests/search_pin.rs\""),
-        "tests/search_pin.rs must be registered on the facade"
-    );
-
-    let gate = read("crates/bench/src/bin/bench_gate.rs");
-    let bench = read("crates/bench/benches/gp_fit.rs");
-    let baselines = read("crates/bench/benches/BENCH_pareto.json");
-    for needle in ["gp/fit/300", "gp/suggest/300"] {
-        assert!(gate.contains(needle), "bench_gate must gate {needle}");
-    }
-    assert!(
-        gate.contains("workloads::gp_suggest_state") && bench.contains("gp_suggest_state"),
-        "gate and gp_fit bench must build the suggest state from lens_bench::workloads"
-    );
-    let at = baselines
-        .find("\"gp/suggest/300\"")
-        .expect("BENCH_pareto.json must record gp/suggest/300");
-    let section = &baselines[at..at + baselines[at..].find('}').unwrap()];
-    assert!(
-        section.contains("\"before_ms\"") && section.contains("\"after_ms\""),
-        "gp/suggest/300 must carry a before/after baseline"
-    );
-
-    let architecture = read("docs/ARCHITECTURE.md");
-    assert!(
-        architecture.contains("## Search surrogate cost"),
-        "docs/ARCHITECTURE.md must explain where a search iteration's time goes"
-    );
-    let paper_map = read("docs/PAPER_MAP.md");
-    assert!(
-        paper_map.contains("lens-gp::mobo::MultiObjectiveOptimizer")
-            && !paper_map.contains("MoboDriver"),
-        "docs/PAPER_MAP.md must name the MOBO driver by its real type"
+    assert_baseline_section(
+        "crates/bench/benches/BENCH_pareto.json",
+        "gp/suggest/300",
+        &["\"before_ms\"", "\"after_ms\""],
     );
 }
 
 /// Pins the fleet digest surface: the absolute fleet pins run in the
-/// release CI job and are registered on the facade, and the architecture
-/// doc explains the shard-step layout they protect.
+/// release CI job and are registered on the facade, the wireless stream
+/// pin runs next to them, and the architecture doc explains the
+/// shard-step layout they protect.
 #[test]
 fn fleet_pin_surface_is_pinned() {
-    let root = repo_root();
-    let read = |p: &str| fs::read_to_string(root.join(p)).unwrap_or_else(|e| panic!("{p}: {e}"));
-
-    assert!(
-        read(".github/workflows/ci.yml")
-            .contains("cargo test --release -q --locked -p lens --test fleet_pin"),
-        "CI must run the fleet pins in release mode"
-    );
-    assert!(
-        read("crates/lens/Cargo.toml").contains("path = \"../../tests/fleet_pin.rs\""),
-        "tests/fleet_pin.rs must be registered on the facade"
-    );
-    assert!(
-        read("docs/ARCHITECTURE.md").contains("shard-step layout"),
-        "docs/ARCHITECTURE.md must explain the shard-step layout"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        (CI, &["cargo test --release -q --locked -p lens --test fleet_pin"], "CI must run the fleet pins in release mode"),
+        (CI, &["cargo test --release -q --locked -p lens-wireless"], "CI must run the stream ≡ synthesized-trace pin in release mode"),
+        ("crates/lens/Cargo.toml", &["path = \"../../tests/fleet_pin.rs\""], "tests/fleet_pin.rs must be registered on the facade"),
+        ("docs/ARCHITECTURE.md", &["shard-step layout"], "docs/ARCHITECTURE.md must explain the shard-step layout"),
+    ];
+    check_pins(PINS);
 }
 
 /// The benchmark crate lives outside the workspace, so only this CI step
 /// compiles it: a public-API change that breaks it fails the build job.
 #[test]
 fn benchmark_crate_is_built_in_ci() {
-    let ci = fs::read_to_string(repo_root().join(".github/workflows/ci.yml")).expect("ci.yml");
-    assert!(
-        ci.contains("cargo build --release --locked --manifest-path lensbench/Cargo.toml"),
-        "CI must build lensbench/"
-    );
+    #[rustfmt::skip]
+    const PINS: &[Pin] = &[
+        (CI, &["cargo build --release --locked --manifest-path lensbench/Cargo.toml"], "CI must build lensbench/"),
+    ];
+    check_pins(PINS);
 }
 
 /// Anti-drift pin for the README's workspace inventory: every crate
