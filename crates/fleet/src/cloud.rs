@@ -1258,8 +1258,8 @@ impl fmt::Display for RegionServing {
 }
 
 /// One offloaded inference inside the per-request microsimulation — the
-/// event a device contributes at its arrival time, plus the bookkeeping
-/// the engine needs to finish the record once the request completes.
+/// event a device contributes at its arrival time, plus what the engine
+/// needs to book its latency at completion (the rest is booked at serve time).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OffloadRequest {
     /// Arrival time at the region's front door (µs since run start).
@@ -1283,15 +1283,9 @@ pub struct OffloadRequest {
     /// Origin region index (for the report's per-region breakdown; it
     /// differs from the serving region when the request failed over).
     pub origin_region: u32,
-    /// Whether this request reached the serving region via failover.
-    pub failed_over: bool,
     /// Device-side latency (ms): comm + compute, *without* any cloud
     /// queueing — the microsim supplies that part.
     pub base_latency_ms: f64,
-    /// Edge energy of the inference (mJ).
-    pub energy_mj: f64,
-    /// Whether the device switched deployment options on this inference.
-    pub switched: bool,
 }
 
 /// A finished request from [`RegionMicrosim`]: the original request plus
@@ -1544,8 +1538,8 @@ impl RegionMicrosim {
     }
 
     /// Runs one epoch: interleaves the merged, sorted arrival stream with
-    /// the pending service events, pushing every completion (including
-    /// completions of requests admitted in earlier epochs) into `out`.
+    /// the pending service events, handing every completion (including
+    /// completions of requests admitted in earlier epochs) to `sink`.
     /// Timer events at or beyond `epoch_end_us` stay queued for the next
     /// epoch.
     ///
@@ -1558,7 +1552,7 @@ impl RegionMicrosim {
         &mut self,
         requests: &[OffloadRequest],
         epoch_end_us: u64,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut impl FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
@@ -1583,7 +1577,7 @@ impl RegionMicrosim {
             // re-checks the linger deadline directly — so same-instant
             // arrivals enqueue *before* any batch at `now` closes and can
             // board it (the documented ordering).
-            self.run_timers(now, false, out, region, probe);
+            self.run_timers(now, false, sink, region, probe);
             touched.iter_mut().for_each(|t| *t = false);
             while i < requests.len() && requests[i].arrival_us == now {
                 let request = requests[i];
@@ -1599,19 +1593,29 @@ impl RegionMicrosim {
             }
             for (backend, hit) in touched.iter().enumerate() {
                 if *hit {
-                    self.dispatch(backend, now, out, region, probe);
+                    self.dispatch(backend, now, sink, region, probe);
                 }
             }
         }
-        self.run_timers(epoch_end_us, false, out, region, probe);
+        self.run_timers(epoch_end_us, false, sink, region, probe);
     }
 
     /// Drains everything still queued or in flight — the cloud keeps
     /// serving past the horizon so every admitted request completes and
     /// the tail histograms account for the whole population. The
     /// post-horizon drain still closes batches worth recording in `probe`.
-    pub fn flush(&mut self, out: &mut Vec<CompletedRequest>, region: u64, probe: &mut PhaseProbe) {
-        self.run_timers(u64::MAX, true, out, region, probe);
+    ///
+    /// # Panics
+    ///
+    /// Panics if a request is still queued afterwards: the engine booked
+    /// its outcome at serve time, so every admitted request must complete.
+    pub fn flush(
+        &mut self,
+        sink: &mut impl FnMut(CompletedRequest),
+        region: u64,
+        probe: &mut PhaseProbe,
+    ) {
+        self.run_timers(u64::MAX, true, sink, region, probe);
         // Fold the post-horizon completions into the cumulative
         // histograms — the final barrier never runs after a flush.
         let RegionMicrosim {
@@ -1624,7 +1628,7 @@ impl RegionMicrosim {
             region_sojourn.merge(&backend.epoch_sojourn);
             backend.epoch_sojourn.reset();
         }
-        debug_assert!(self.backends.iter().all(|b| b.queued() == 0));
+        assert!(self.backends.iter().all(|b| b.queued() == 0));
         debug_assert!(self.backends.iter().all(|b| b.linger_event_us == u64::MAX));
     }
 
@@ -1651,7 +1655,7 @@ impl RegionMicrosim {
         &mut self,
         limit_us: u64,
         inclusive: bool,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut impl FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
@@ -1667,7 +1671,7 @@ impl RegionMicrosim {
                 debug_assert_eq!(self.backends[backend as usize].linger_event_us, time);
                 self.backends[backend as usize].linger_event_us = u64::MAX;
             }
-            self.dispatch(backend as usize, time, out, region, probe);
+            self.dispatch(backend as usize, time, sink, region, probe);
         }
     }
 
@@ -1711,7 +1715,7 @@ impl RegionMicrosim {
         &mut self,
         backend: usize,
         now_us: u64,
-        out: &mut Vec<CompletedRequest>,
+        sink: &mut impl FnMut(CompletedRequest),
         region: u64,
         probe: &mut PhaseProbe,
     ) {
@@ -1766,7 +1770,7 @@ impl RegionMicrosim {
                 // ([`barrier_signal`](RegionMicrosim::barrier_signal)).
                 state.epoch_sojourn.record(sojourn_ms);
                 state.served_requests += 1;
-                out.push(CompletedRequest {
+                sink(CompletedRequest {
                     request,
                     backend: backend as u32,
                     sojourn_ms,
@@ -2254,18 +2258,28 @@ mod tests {
             stage: 1,
             high_priority: false,
             origin_region: 0,
-            failed_over: false,
             base_latency_ms: 0.0,
-            energy_mj: 0.0,
-            switched: false,
         }
+    }
+
+    #[test]
+    fn offload_request_is_40_bytes() {
+        // Every admitted request is copied through the merged run, a
+        // backend queue and a completion; keep it small.
+        assert_eq!(std::mem::size_of::<OffloadRequest>(), 40);
     }
 
     fn run_all(sim: &mut RegionMicrosim, requests: &[OffloadRequest]) -> Vec<CompletedRequest> {
         let mut out = Vec::new();
         let end = requests.last().map_or(1, |r| r.arrival_us + 1);
-        sim.run_epoch(requests, end, &mut out, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            requests,
+            end,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
+        sim.flush(&mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
         out
     }
 
@@ -2435,13 +2449,19 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..50).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &requests,
+            1_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         assert!(sim.depth() > 4.0, "backlog should persist at the barrier");
         let signal = sim.barrier_signal(1_000);
         assert!(signal.shed_fraction > 0.0);
         assert!(signal.wait_low_ms > 0.0);
         assert!(signal.wait_high_ms <= signal.wait_low_ms);
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 50, "flush must complete every request");
         assert_eq!(sim.depth(), 0.0);
         assert!(format!("{sim}").contains("0 requests queued"));
@@ -2658,7 +2678,13 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let mut out = Vec::new();
         // Never-measured: an idle first epoch publishes no tail at all.
-        sim.run_epoch(&[], 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            1_000_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         let signal = sim.barrier_signal(1_000_000);
         assert_eq!(
             signal.p99_ms, None,
@@ -2670,7 +2696,7 @@ mod tests {
         sim.run_epoch(
             &requests,
             2_000_000,
-            &mut out,
+            &mut |c| out.push(c),
             0,
             &mut PhaseProbe::disabled(),
         );
@@ -2684,7 +2710,13 @@ mod tests {
         );
         // Idle epoch: nothing completed since the last barrier, but the
         // last *measured* tail is held so retreat stays armed.
-        sim.run_epoch(&[], 3_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            3_000_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         let signal = sim.barrier_signal(3_000_000);
         assert_eq!(
             signal.p99_ms,
@@ -2717,7 +2749,13 @@ mod tests {
             let start = epoch * 1_000_000;
             let end = start + 1_000_000;
             let requests: Vec<_> = (0..8).map(|i| request(start + i * 1_000, i)).collect();
-            sim.run_epoch(&requests, end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.run_epoch(
+                &requests,
+                end,
+                &mut |c| out.push(c),
+                0,
+                &mut PhaseProbe::disabled(),
+            );
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
@@ -2730,7 +2768,13 @@ mod tests {
         // Idle epochs observe 0 (no tail to miss) and scale back down.
         for epoch in 3..6u64 {
             let end = (epoch + 1) * 1_000_000;
-            sim.run_epoch(&[], end, &mut out, 0, &mut PhaseProbe::disabled());
+            sim.run_epoch(
+                &[],
+                end,
+                &mut |c| out.push(c),
+                0,
+                &mut PhaseProbe::disabled(),
+            );
             sim.scale(end, 1_000_000, 0, &mut PhaseProbe::disabled());
             sim.barrier_signal(end);
         }
@@ -2843,7 +2887,13 @@ mod tests {
         let mut sim = RegionMicrosim::new(&serving);
         let requests: Vec<_> = (0..10).map(|i| request(i, i)).collect();
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &requests,
+            1_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         let wait_pre_scale = sim.wait_ms(false, 1_000);
         sim.scale(1_000, 1_000, 0, &mut PhaseProbe::disabled());
         let signal = sim.barrier_signal(1_000);
@@ -2858,9 +2908,15 @@ mod tests {
         assert_eq!(stats.scale_events, 1);
         // The added slot serves queued work from the next epoch on, and
         // every admitted request still completes.
-        sim.run_epoch(&[], 200_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            200_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         sim.scale(200_000, 199_000, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 10, "flush must complete every request");
         assert_eq!(sim.backend_stats()[0].slot_timeline, vec![1, 2]);
     }
@@ -2879,7 +2935,7 @@ mod tests {
         sim.run_epoch(
             &[request(0, 0), request(0, 1)],
             1_000,
-            &mut out,
+            &mut |c| out.push(c),
             0,
             &mut PhaseProbe::disabled(),
         );
@@ -2891,15 +2947,27 @@ mod tests {
         );
         assert_eq!(stats.slot_timeline, vec![2]);
         // Once a batch finishes, the deferred scale-down applies.
-        sim.run_epoch(&[], 20_000_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            20_000_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         sim.scale(20_000_000, 19_999_000, 0, &mut PhaseProbe::disabled());
         let stats = &sim.backend_stats()[0];
         assert_eq!(stats.scale_events, 1);
         assert_eq!(*stats.slot_timeline.last().unwrap(), 2);
-        sim.run_epoch(&[], 20_001_000, &mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(
+            &[],
+            20_001_000,
+            &mut |c| out.push(c),
+            0,
+            &mut PhaseProbe::disabled(),
+        );
         sim.scale(20_001_000, 1_000, 0, &mut PhaseProbe::disabled());
         assert_eq!(*sim.backend_stats()[0].slot_timeline.last().unwrap(), 1);
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
         assert_eq!(out.len(), 2);
     }
 

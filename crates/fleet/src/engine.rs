@@ -14,15 +14,17 @@
 //! streams the device array and the epoch's sample row front to back.
 //!
 //! At each barrier the engine runs the serving tier's **batch-close
-//! events** in fluid form: merged offload counts are admitted per region,
+//! events**. In fluid form merged offload counts are admitted per region,
 //! dispatched across that region's backends by (cost-weighted)
 //! water-filling, and each backend closes batches of the size its backlog
-//! and arrival rate imply, draining at the batch-amortized rate. The
-//! barrier phases are strictly ordered — **drain → scale → publish** —
-//! in both fidelity modes: autoscalers adjust live slot counts *before*
-//! the next epoch's [`RegionSignal`]s (per-class waits, the admission
-//! controller's shed fraction, and the marginal serving cost) are
-//! published, so devices always read post-scale capacity. Regions are
+//! and arrival rate imply, draining at the batch-amortized rate. In
+//! per-request form each region's microsim replays the merged requests
+//! and books each offload's latency at completion. The barrier phases
+//! are strictly ordered — **drain → scale → publish** — in both fidelity
+//! modes: autoscalers adjust live slot counts *before* the next epoch's
+//! [`RegionSignal`]s (per-class waits, the admission controller's shed
+//! fraction, and the marginal serving cost) are published, so devices
+//! always read post-scale capacity. Regions are
 //! independent between the shard drain and the publish, so each region
 //! replays its barrier on its own worker — in parallel when the
 //! scenario's [`ReplayMode`](crate::scenario::ReplayMode) resolves so —
@@ -421,9 +423,9 @@ impl FleetEngine {
     /// as aggregates; the per-request tier k-way merges the shards'
     /// request runs by the shard-count-invariant
     /// `(arrival_us, device_id, stage)` key and replays them through its
-    /// [`RegionMicrosim`](crate::cloud::RegionMicrosim), finishing each
-    /// deferred device record at completion (end-to-end latency = the
-    /// device-side latency captured at arrival + the exact cloud sojourn).
+    /// [`RegionMicrosim`](crate::cloud::RegionMicrosim). Shards book each
+    /// inference at serve time, except a per-request offload's latency:
+    /// the device-side latency + the exact cloud sojourn, at completion.
     fn run_with<S: Sink, W: RegionReplay>(
         &self,
         sink: &mut S,
@@ -443,9 +445,9 @@ impl FleetEngine {
 
         let parallel = replay_in_parallel(scenario.replay(), num_regions);
         // Workers that resolve requests accumulate their own report
-        // partial and sojourn histogram, merged with the shard partials at
-        // the end (fixed-point sums make the merge order irrelevant — even
-        // for failovers, which land a record in another region's partial).
+        // partial (completed latencies and the stage ledger) and sojourn
+        // histogram, merged with the shard partials at the end
+        // (fixed-point sums make the merge order irrelevant).
         let empty_report =
             FleetReport::empty(LATENCY_BIN_MS, ENERGY_BIN_MJ, NUM_BINS, &region_names);
         let mut workers: Vec<W> = (0..num_regions)
@@ -985,8 +987,8 @@ fn flush_barrier_outputs<S: Sink>(
 /// epoch scratch with the per-region (high, low) offload counts this
 /// epoch contributed — failed over requests count toward their
 /// *destination* region's queue — and, under per-request fidelity, the
-/// offloaded requests themselves (their records are deferred until the
-/// microsim completes them).
+/// offloaded requests themselves. Every inference is booked here, except
+/// a per-request offload's latency, which the barrier books at completion.
 #[allow(clippy::too_many_arguments)]
 fn advance_shard(
     state: &mut ShardState,
@@ -1038,8 +1040,9 @@ fn advance_shard(
                 &mut output.events,
             );
         }
+        report.record_outcome(cohort.region_index, &served);
         if !(per_request && served.offloaded) {
-            report.record(cohort.region_index, &served);
+            report.record_latency(cohort.region_index, served.latency_ms);
             // Fluid staged offloads resolve their whole chain here: the
             // device already charged per-stage waits and transfers, so
             // the stage ledger and transfer total book the same event
@@ -1065,10 +1068,7 @@ fn advance_shard(
                     stage: 1,
                     high_priority: device.high_priority(),
                     origin_region: cohort.region_index as u32,
-                    failed_over: served.failover_region.is_some(),
                     base_latency_ms: served.latency_ms,
-                    energy_mj: served.energy_mj,
-                    switched: served.switched,
                 });
             } else {
                 // A staged offload occupies the fluid queue once per

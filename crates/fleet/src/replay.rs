@@ -32,7 +32,6 @@ use crate::cloud::{
     BackendStats, CloudServing, CompletedRequest, OffloadRequest, RegionMicrosim, RegionServing,
     RegionSignal,
 };
-use crate::device::Served;
 use crate::engine::ShardEpochOutput;
 use crate::pipeline::PipelinePricing;
 use crate::report::{FleetReport, Histogram};
@@ -99,10 +98,11 @@ where
 /// two fidelities differ only in how a barrier replays the epoch; the
 /// loop around them is shared.
 pub(crate) trait RegionReplay: Send + Sized {
-    /// Whether the tier resolves individual requests. Such a tier defers
-    /// offloaded records to completion, so the loop also samples its
-    /// running p99, drains it past the horizon ([`flush`]), and merges
-    /// its report partial and sojourn histogram ([`finish`]).
+    /// Whether the tier resolves individual requests. Such a tier books
+    /// each offload's latency at completion (the shard books the rest at
+    /// serve time), so the loop also samples its running p99, drains it
+    /// past the horizon ([`flush`]), and merges its report partial and
+    /// sojourn histogram ([`finish`]).
     ///
     /// [`flush`]: RegionReplay::flush
     /// [`finish`]: RegionReplay::finish
@@ -232,18 +232,20 @@ impl RegionReplay for FluidRegionReplay {
 }
 
 /// The per-request tier's replay worker: the region's microsim plus the
-/// region-local accumulators the barrier feeds — the deferred-completion
-/// report partial (fixed-point sums, so merging the partials at the end
-/// is exact and order-independent) and pooled merge/completion buffers
-/// reused across epochs. The region-level sojourn histogram lives inside
-/// the microsim, folded incrementally from the per-backend epoch windows
-/// at each barrier.
+/// region-local accumulators the barrier feeds — the report partial of
+/// completed latencies and stage ledgers (fixed-point sums, so merging
+/// the partials at the end is exact and order-independent) and pooled
+/// merge/chaining buffers reused across epochs. The region-level sojourn
+/// histogram lives inside the microsim, folded incrementally from the
+/// per-backend epoch windows at each barrier.
 pub(crate) struct PerRequestRegionReplay {
     sim: RegionMicrosim,
     report: FleetReport,
     depth_series: Vec<f64>,
     merged: Vec<OffloadRequest>,
-    completions: Vec<CompletedRequest>,
+    /// Non-final stage completions of the last replay, in completion
+    /// order, waiting to spawn their next stage.
+    chained: Vec<CompletedRequest>,
     /// Staged-pipeline transfer prices; `None` for monolithic scenarios,
     /// which keeps every pipeline branch below off the hot path.
     pricing: Option<PipelinePricing>,
@@ -274,7 +276,7 @@ impl RegionReplay for PerRequestRegionReplay {
             report: empty_report.clone(),
             depth_series: Vec::with_capacity(num_epochs),
             merged: Vec::new(),
-            completions: Vec::new(),
+            chained: Vec::new(),
             pricing: pricing.cloned(),
             pending: Vec::new(),
         }
@@ -282,7 +284,7 @@ impl RegionReplay for PerRequestRegionReplay {
 
     /// K-way merges the shards' request runs (joining any chained stage
     /// arrivals that came due), replays them through the microsim,
-    /// records the completions — spawning next-stage arrivals for staged
+    /// books the completions — spawning next-stage arrivals for staged
     /// pipelines — scales, publishes the (hysteresis-held) tail signal.
     ///
     /// Chains spawned at the `last` barrier have no later barrier to
@@ -300,44 +302,31 @@ impl RegionReplay for PerRequestRegionReplay {
     ) -> RegionBarrierOutput {
         merge_requests(shards, region, &mut self.merged);
         let mut probe = region_probe(traced);
-        if !self.pending.is_empty() {
-            // Pull due chained stages into this epoch's batch. The
-            // stable sort keeps completion order for the (rare) ties
-            // where two same-device requests finish in the same batch
-            // and chain to identical next-stage arrivals — completion
-            // order is shard-invariant, so the batch order stays
-            // shard-invariant too.
-            let mut later = Vec::new();
-            let mut due = false;
-            for request in self.pending.drain(..) {
-                if request.arrival_us < epoch_end {
-                    self.merged.push(request);
-                    due = true;
-                } else {
-                    later.push(request);
-                }
-            }
-            self.pending = later;
+        // Pull due chained stages into this epoch's batch. The stable
+        // sort keeps completion order for the (rare) ties where two
+        // same-device requests finish in the same batch and chain to
+        // identical next-stage arrivals — completion order is
+        // shard-invariant, so the batch order stays shard-invariant too.
+        let shard_requests = self.merged.len();
+        self.pending.retain(|&request| {
+            let due = request.arrival_us < epoch_end;
             if due {
-                self.merged
-                    .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
+                self.merged.push(request);
             }
+            !due
+        });
+        if self.merged.len() > shard_requests {
+            self.merged
+                .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
         }
         probe.on_merged(self.merged.len() as u64);
-        self.completions.clear();
-        self.sim.run_epoch(
-            &self.merged,
-            epoch_end,
-            &mut self.completions,
-            region as u64,
-            &mut probe,
-        );
+        self.replay(Some(epoch_end), region, &mut probe);
         let (shift_us, floor_us) = if last {
             (0, epoch_end)
         } else {
             (epoch_end - epoch_start, 0)
         };
-        self.absorb_completions(region, shift_us, floor_us, &mut probe);
+        self.spawn_chained(region, shift_us, floor_us, &mut probe);
         self.depth_series.push(self.sim.depth());
         let drain = probe.take();
         self.sim.scale(
@@ -383,9 +372,8 @@ impl RegionReplay for PerRequestRegionReplay {
     /// numbers only climb.
     fn flush(&mut self, region: usize, probe: &mut PhaseProbe) {
         loop {
-            self.completions.clear();
-            self.sim.flush(&mut self.completions, region as u64, probe);
-            self.absorb_completions(region, 0, 0, probe);
+            self.replay(None, region, probe);
+            self.spawn_chained(region, 0, 0, probe);
             if self.pending.is_empty() {
                 return;
             }
@@ -394,20 +382,13 @@ impl RegionReplay for PerRequestRegionReplay {
             self.merged
                 .sort_by_key(|r| (r.arrival_us, r.device_id, r.stage));
             let wave_end = self.merged.last().map_or(0, |r| r.arrival_us) + 1;
-            self.completions.clear();
             // The flush above popped every pending event, but executors
             // may still be occupied into the future — re-arm their
             // slot-free wakeups or wave arrivals queued behind them
             // would never re-dispatch.
             self.sim.rearm_slot_events(probe);
-            self.sim.run_epoch(
-                &self.merged,
-                wave_end,
-                &mut self.completions,
-                region as u64,
-                probe,
-            );
-            self.absorb_completions(region, 0, 0, probe);
+            self.replay(Some(wave_end), region, probe);
+            self.spawn_chained(region, 0, 0, probe);
         }
     }
 
@@ -418,16 +399,28 @@ impl RegionReplay for PerRequestRegionReplay {
 }
 
 impl PerRequestRegionReplay {
-    /// Books the batch in `self.completions`: monolithic completions go
-    /// straight to the deferred device records; staged completions feed
-    /// the per-stage ledger, then either spawn the next stage's arrival
-    /// at `max(completion + transfer + shift_us, floor_us)` (the hop
-    /// priced on the **origin** region's uplink; the shift is one epoch
-    /// length at a barrier, the floor is the horizon end at the final
-    /// barrier, and both are zero in the flush) or — at the terminal
-    /// stage — finish the device record with the accumulated
-    /// end-to-end latency.
-    fn absorb_completions(
+    /// Replays `merged` through the microsim up to `end_us` — or, given
+    /// `None`, drains it past the horizon — booking every completion as
+    /// it lands.
+    fn replay(&mut self, end_us: Option<u64>, region: usize, probe: &mut PhaseProbe) {
+        let depth = self.pricing.as_ref().map_or(1, |p| p.depth);
+        let book = &mut |c| book_completion(&mut self.report, depth, &mut self.chained, c);
+        match end_us {
+            Some(end_us) => self
+                .sim
+                .run_epoch(&self.merged, end_us, book, region as u64, probe),
+            None => self.sim.flush(book, region as u64, probe),
+        }
+    }
+
+    /// Spawns each chained completion's next stage at
+    /// `max(completion + transfer + shift_us, floor_us)`, the hop priced
+    /// on the **origin** region's uplink. The shift is one epoch length
+    /// at a barrier, the floor is the horizon end at the final barrier,
+    /// and both are zero in the flush. Runs after the replay, so stage
+    /// transitions trace after the epoch's batch closes, in completion
+    /// order.
+    fn spawn_chained(
         &mut self,
         region: usize,
         shift_us: u64,
@@ -435,48 +428,62 @@ impl PerRequestRegionReplay {
         probe: &mut PhaseProbe,
     ) {
         let Some(pricing) = &self.pricing else {
-            for c in &self.completions {
-                record_completion(&mut self.report, region, c);
-            }
             return;
         };
-        let depth = pricing.depth;
-        let completions = std::mem::take(&mut self.completions);
-        for c in &completions {
-            self.report
-                .record_stage_completion(c.request.stage, Some(c.sojourn_ms));
-            if c.request.stage < depth {
-                let boundary = (c.request.stage - 1) as usize;
-                let transfer_us = pricing.hop_us(c.request.origin_region as usize, boundary);
-                let mut next = c.request;
-                next.stage += 1;
-                // Charge the device what the hop actually cost — this
-                // stage's sojourn plus the transfer, never the replay
-                // shift. The increments accumulate, so the terminal
-                // record's `base_latency_ms + sojourn_ms` is the exact
-                // end-to-end latency.
-                next.base_latency_ms += c.sojourn_ms + transfer_us as f64 / 1000.0;
-                next.arrival_us = c
-                    .completion_us
-                    .saturating_add(transfer_us)
-                    .saturating_add(shift_us)
-                    .max(floor_us);
-                self.report.record_transfer_ms(transfer_us as f64 / 1000.0);
-                probe.emit(TraceEvent::StageTransition {
-                    time_us: c.completion_us,
-                    device_id: c.request.device_id,
-                    region: region as u64,
-                    from_stage: u64::from(c.request.stage),
-                    to_stage: u64::from(next.stage),
-                    transfer_us,
-                });
-                self.pending.push(next);
-            } else {
-                record_completion(&mut self.report, region, c);
-            }
+        for c in self.chained.drain(..) {
+            let boundary = (c.request.stage - 1) as usize;
+            let transfer_us = pricing.hop_us(c.request.origin_region as usize, boundary);
+            let mut next = c.request;
+            next.stage += 1;
+            // Charge the device what the hop actually cost — this
+            // stage's sojourn plus the transfer, never the replay
+            // shift. The increments accumulate, so the terminal
+            // record's `base_latency_ms + sojourn_ms` is the exact
+            // end-to-end latency.
+            next.base_latency_ms += c.sojourn_ms + transfer_us as f64 / 1000.0;
+            next.arrival_us = c
+                .completion_us
+                .saturating_add(transfer_us)
+                .saturating_add(shift_us)
+                .max(floor_us);
+            self.report.record_transfer_ms(transfer_us as f64 / 1000.0);
+            probe.emit(TraceEvent::StageTransition {
+                time_us: c.completion_us,
+                device_id: c.request.device_id,
+                region: region as u64,
+                from_stage: u64::from(c.request.stage),
+                to_stage: u64::from(next.stage),
+                transfer_us,
+            });
+            self.pending.push(next);
         }
-        self.completions = completions;
     }
+}
+
+/// Books one completion of a `depth`-stage pipeline (1 when monolithic).
+/// A staged completion feeds the per-stage ledger, and a non-final stage
+/// is kept in `chained` to spawn its next stage. A terminal completion
+/// books its end-to-end latency against its origin region: for staged
+/// pipelines `base_latency_ms` has already absorbed every earlier
+/// stage's sojourn and transfer, so one formula is exact in both cases.
+fn book_completion(
+    report: &mut FleetReport,
+    depth: u32,
+    chained: &mut Vec<CompletedRequest>,
+    c: CompletedRequest,
+) {
+    let request = &c.request;
+    if depth > 1 {
+        report.record_stage_completion(request.stage, Some(c.sojourn_ms));
+        if request.stage < depth {
+            chained.push(c);
+            return;
+        }
+    }
+    report.record_latency(
+        request.origin_region as usize,
+        request.base_latency_ms + c.sojourn_ms,
+    );
 }
 
 /// A barrier-thread probe: recording iff tracing.
@@ -494,8 +501,9 @@ pub(crate) fn region_probe(traced: bool) -> PhaseProbe {
 /// are a contiguous ascending range, and shards only ever emit stage 1
 /// — and the key is unique fleet-wide, so the merge reproduces exactly
 /// the total order the old global `sort_unstable_by_key` produced, in
-/// O(total · shards) with no comparison sort and no allocation after
-/// warm-up.
+/// O(total · shards) with no comparison sort. `out` keeps its capacity
+/// across epochs; only the small list of non-empty runs is allocated per
+/// call.
 pub(crate) fn merge_requests(
     shards: &[&ShardEpochOutput],
     region: usize,
@@ -534,30 +542,142 @@ pub(crate) fn merge_requests(
     }
 }
 
-/// Records one terminal completion's deferred device record. For staged
-/// pipelines `base_latency_ms` has already absorbed every earlier
-/// stage's sojourn and transfer, so the same formula is exact in both
-/// the monolithic and the staged case.
-pub(crate) fn record_completion(
-    report: &mut FleetReport,
-    serving_region: usize,
-    c: &CompletedRequest,
-) {
-    let request = &c.request;
-    let served = Served {
-        latency_ms: request.base_latency_ms + c.sojourn_ms,
-        energy_mj: request.energy_mj,
-        offloaded: true,
-        switched: request.switched,
-        shed_to_local: false,
-        failover_region: if request.failed_over {
-            Some(serving_region as u32)
-        } else {
-            None
-        },
-        // Retreats resolve device-side, before the request ever
-        // reaches the microsim — a completed offload never retreated.
-        retreated: false,
-    };
-    report.record(request.origin_region as usize, &served);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cloud::BackendConfig;
+
+    /// Epoch length (µs): one minute.
+    const EPOCH_US: u64 = 60_000_000;
+    /// The one stage-1 → stage-2 hop (µs).
+    const HOP_US: u64 = 5_000;
+
+    /// A 2-stage worker for one region with a single 10 ms slot.
+    fn staged_worker(backend: BackendConfig) -> PerRequestRegionReplay {
+        let regions = vec!["A".to_string()];
+        let empty = FleetReport::empty(10.0, 5.0, 100, &regions);
+        let pricing = PipelinePricing {
+            depth: 2,
+            transfer_us: vec![vec![HOP_US]],
+            total_ms: vec![HOP_US as f64 / 1000.0],
+        };
+        PerRequestRegionReplay::new(&CloudServing::new(vec![backend]), &empty, 4, Some(&pricing))
+    }
+
+    /// Unbatched: an idle slot serves each request alone, on arrival.
+    fn unbatched() -> BackendConfig {
+        BackendConfig::new("gpu", 1, 10.0, 0.0)
+    }
+
+    fn request(arrival_us: u64, device_id: u64) -> OffloadRequest {
+        OffloadRequest {
+            arrival_us,
+            device_id,
+            stage: 1,
+            high_priority: false,
+            origin_region: 0,
+            base_latency_ms: 3.0,
+        }
+    }
+
+    fn shard(requests: Vec<OffloadRequest>) -> ShardEpochOutput {
+        ShardEpochOutput {
+            arrivals: vec![(0, 0)],
+            requests: vec![requests],
+            events: Vec::new(),
+            counters: PhaseCounters::default(),
+        }
+    }
+
+    /// Runs the barrier of epoch `[start, end)` over one shard's requests.
+    fn barrier(
+        worker: &mut PerRequestRegionReplay,
+        requests: Vec<OffloadRequest>,
+        start: u64,
+        end: u64,
+        last: bool,
+    ) {
+        worker.barrier(0, &[&shard(requests)], start, end, last, false);
+    }
+
+    fn pending_stamps(worker: &PerRequestRegionReplay) -> Vec<(u64, u32)> {
+        worker
+            .pending
+            .iter()
+            .map(|r| (r.arrival_us, r.stage))
+            .collect()
+    }
+
+    #[test]
+    fn terminal_latency_is_base_plus_both_sojourns_plus_the_hop() {
+        let mut worker = staged_worker(unbatched());
+        barrier(&mut worker, vec![request(1_000_000, 7)], 0, EPOCH_US, false);
+        worker.flush(0, &mut PhaseProbe::disabled());
+        let (report, sojourn) = worker.finish();
+        // base 3 + sojourn₁ 10 + transfer 5 + sojourn₂ 10, booked once.
+        assert_eq!(report.latency().count(), 1);
+        assert_eq!(report.latency().sum(), 28.0);
+        assert_eq!(report.regions()[0].latency_sum_ms(), 28.0);
+        assert_eq!(report.stage_completions(), &[1, 1]);
+        assert_eq!(report.transfer_ms(), 5.0);
+        assert_eq!(sojourn.count(), 2);
+        // The shard books the rest of the inference at serve time.
+        assert_eq!(report.regions()[0].inferences, 0);
+        assert_eq!(report.energy().count(), 0);
+    }
+
+    #[test]
+    fn mid_run_barrier_shifts_the_next_stage_by_one_epoch() {
+        let mut worker = staged_worker(unbatched());
+        let arrival = EPOCH_US + 1_000_000;
+        barrier(
+            &mut worker,
+            vec![request(arrival, 7)],
+            EPOCH_US,
+            2 * EPOCH_US,
+            false,
+        );
+        let completion = arrival + 10_000;
+        assert_eq!(
+            pending_stamps(&worker),
+            [(completion + HOP_US + EPOCH_US, 2)]
+        );
+        assert_eq!(worker.pending[0].base_latency_ms, 3.0 + 10.0 + 5.0);
+    }
+
+    #[test]
+    fn last_barrier_floors_the_next_stage_at_the_horizon_end() {
+        let mut worker = staged_worker(unbatched());
+        let (start, end) = (EPOCH_US, 2 * EPOCH_US);
+        let early = request(start + 1_000_000, 7);
+        // Completes past the horizon end, so the floor does not bind.
+        let late = request(end - 1_000, 8);
+        barrier(&mut worker, vec![early, late], start, end, true);
+        let late_completion = end - 1_000 + 10_000;
+        assert_eq!(
+            pending_stamps(&worker),
+            [(end, 2), (late_completion + HOP_US, 2)]
+        );
+    }
+
+    #[test]
+    fn flush_chains_without_shift_or_floor() {
+        // A lingering batcher holds a lone request past the horizon end,
+        // so its stage 1 completes inside the flush.
+        let mut worker = staged_worker(unbatched().with_batching(2, 20.0));
+        let arrival = EPOCH_US - 1_000;
+        barrier(&mut worker, vec![request(arrival, 7)], 0, EPOCH_US, true);
+        assert!(worker.pending.is_empty());
+        worker.flush(0, &mut PhaseProbe::disabled());
+        // Linger 20 ms + service 10 ms, then the hop; the last wave's
+        // batch still holds the stage-2 arrival.
+        let completion = arrival + 20_000 + 10_000;
+        let wave: Vec<_> = worker
+            .merged
+            .iter()
+            .map(|r| (r.arrival_us, r.stage))
+            .collect();
+        assert_eq!(wave, [(completion + HOP_US, 2)]);
+        assert!(worker.pending.is_empty() && worker.chained.is_empty());
+    }
 }

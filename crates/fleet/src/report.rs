@@ -536,14 +536,12 @@ impl FleetReport {
         self.transfer_ms_fp = self.transfer_ms_fp.saturating_add(to_fp(ms));
     }
 
-    pub(crate) fn record(&mut self, region_index: usize, served: &crate::device::Served) {
-        self.latency.record(served.latency_ms);
+    /// Books one served inference except its latency, which the device's
+    /// choice and uplink alone do not fix under per-request fidelity.
+    pub(crate) fn record_outcome(&mut self, region_index: usize, served: &crate::device::Served) {
         self.energy.record(served.energy_mj);
         let region = &mut self.per_region[region_index];
         region.inferences += 1;
-        region.latency_sum_fp = region
-            .latency_sum_fp
-            .saturating_add(to_fp(served.latency_ms));
         region.energy_sum_fp = region.energy_sum_fp.saturating_add(to_fp(served.energy_mj));
         if served.offloaded {
             self.offloaded += 1;
@@ -563,6 +561,14 @@ impl FleetReport {
             region.failed_over += 1;
             self.per_region[dest as usize].failover_in += 1;
         }
+    }
+
+    /// Books one inference's end-to-end latency against its origin region
+    /// (at completion for a per-request offload, else at serve time).
+    pub(crate) fn record_latency(&mut self, region_index: usize, latency_ms: f64) {
+        self.latency.record(latency_ms);
+        let region = &mut self.per_region[region_index];
+        region.latency_sum_fp = region.latency_sum_fp.saturating_add(to_fp(latency_ms));
     }
 
     /// Merges a shard partial into this report. Histogram counts and
@@ -944,6 +950,15 @@ impl fmt::Display for FleetReport {
 mod tests {
     use super::*;
     use crate::device::Served;
+
+    impl FleetReport {
+        /// Books a whole inference at once, as the shard does for every
+        /// inference but a per-request offload.
+        fn record(&mut self, region_index: usize, served: &Served) {
+            self.record_outcome(region_index, served);
+            self.record_latency(region_index, served.latency_ms);
+        }
+    }
 
     fn served(latency_ms: f64, energy_mj: f64, offloaded: bool, switched: bool) -> Served {
         Served {

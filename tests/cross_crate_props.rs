@@ -186,16 +186,13 @@ proptest! {
                 stage: 1,
                 high_priority: false,
                 origin_region: 0,
-                failed_over: false,
                 base_latency_ms: 0.0,
-                energy_mj: 0.0,
-                switched: false,
             })
             .collect();
         requests.sort_unstable_by_key(|r| (r.arrival_us, r.device_id));
         let mut out = Vec::new();
-        sim.run_epoch(&requests, 1_000_000, &mut out, 0, &mut PhaseProbe::disabled());
-        sim.flush(&mut out, 0, &mut PhaseProbe::disabled());
+        sim.run_epoch(&requests, 1_000_000, &mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
+        sim.flush(&mut |c| out.push(c), 0, &mut PhaseProbe::disabled());
         prop_assert_eq!(out.len(), n, "every request must complete");
         let mut completions: Vec<(u64, u64, f64)> = out
             .iter()
@@ -419,6 +416,24 @@ proptest! {
                 fidelity
             );
             prop_assert_eq!(sequential.inferences(), population as u64 * 5);
+            // Booking conservation: the shards book each outcome at serve
+            // time, so every admitted offload must also complete once.
+            let regions = sequential.regions();
+            let inferences: u64 = regions.iter().map(|r| r.inferences).sum();
+            prop_assert_eq!(sequential.latency().count(), inferences);
+            prop_assert_eq!(sequential.energy().count(), inferences);
+            prop_assert_eq!(
+                sequential.offloaded(),
+                regions.iter().map(|r| r.offloaded).sum::<u64>()
+            );
+            prop_assert_eq!(
+                regions.iter().map(|r| r.failed_over).sum::<u64>(),
+                regions.iter().map(|r| r.failover_in).sum::<u64>()
+            );
+            if fidelity == CloudSimFidelity::PerRequest {
+                let completed: u64 = sequential.cloud_sojourn().iter().map(|h| h.count()).sum();
+                prop_assert_eq!(completed, sequential.offloaded());
+            }
         }
     }
 

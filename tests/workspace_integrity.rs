@@ -233,6 +233,7 @@ fn per_request_microsim_surface_is_pinned() {
         ("docs/ARCHITECTURE.md", &["Cloud fidelity modes"], "docs/ARCHITECTURE.md must document the fidelity modes"),
         ("docs/ARCHITECTURE.md", &["PerRequest"], "docs/ARCHITECTURE.md must cover CloudSimFidelity::PerRequest"),
         ("docs/ARCHITECTURE.md", &["slot-free events run first"], "docs/ARCHITECTURE.md must document intra-epoch event ordering"),
+        ("docs/ARCHITECTURE.md", &["books every served inference at serve time"], "docs/ARCHITECTURE.md must say where a per-request offload is booked"),
         ("docs/PAPER_MAP.md", &["RegionMicrosim"], "docs/PAPER_MAP.md must map the latency model to the per-request microsim"),
         ("crates/lens/Cargo.toml", &["path = \"../../examples/tail_latency.rs\""], "tail_latency example must be registered on the facade"),
         ("crates/bench/benches/fleet_step.rs", &["per_request/10000"], "fleet_step bench must measure the per-request path"),
